@@ -12,7 +12,6 @@ import random
 import time
 
 import mpmath
-import numpy as np
 
 from . import affine, amalgam, curves, dynamics, flat_surface, obstruction, traintrack
 from .flat_surface import HORIZONTAL, VERTICAL
@@ -245,10 +244,7 @@ def criterion_circle_map(seed=DEFAULT_SEED, genus=2, n_samples=720):
         s = _surface(genus)
         with mpmath.workprec(s.precision):
             samples = dynamics.circle_samples(s, n_samples)  # arc [0, pi/2]
-            lifts = dynamics.lift_matrix([cls for _, cls in samples])
-            diffs = np.max(np.abs(lifts[:, None, :] - lifts[None, :, :]), axis=2)
-            np.fill_diagonal(diffs, np.inf)
-            min_dist = float(diffs.min())
+            min_dist = dynamics.min_pairwise_distance([cls for _, cls in samples])
             if min_dist <= 1e-10:
                 return False, f"pairwise projective distance {min_dist:.2e} <= 1e-10"
 

@@ -19,7 +19,7 @@ import re
 import mpmath
 
 from .errors import InvalidMatrixError, NotParabolicError, ParameterError
-from .flat_surface import HORIZONTAL, VERTICAL, cylinder_decomposition, working_precision
+from .flat_surface import HORIZONTAL, VERTICAL, cylinder_decomposition
 from .precision import value_precision
 
 DET_TOLERANCE = 1e-12
@@ -52,11 +52,6 @@ class Mat2:
                 self.c * other.a + self.d * other.c,
                 self.c * other.b + self.d * other.d,
             )
-
-    def __neg__(self):
-        # mpmath rounds even unary minus at ambient precision; keep all bits
-        with mpmath.workprec(value_precision(self.a, self.b, self.c, self.d)):
-            return Mat2(-self.a, -self.b, -self.c, -self.d)
 
     def inverse(self):
         # valid for det = 1
@@ -158,13 +153,8 @@ class AffineElement:
         )
 
     def __pow__(self, k):
-        if k == 0:
-            return AffineElement((), identity_matrix())
-        result = None
-        base = self if k > 0 else self.inverse()
-        for _ in range(abs(k)):
-            result = base if result is None else result * base
-        return result
+        base = self if k >= 0 else self.inverse()
+        return AffineElement(_merge_tokens(base.tokens * abs(k)), self.derivative ** k)
 
     def inverse(self):
         tokens = tuple((sym, -k) for sym, k in reversed(self.tokens))
@@ -188,7 +178,7 @@ def _merge_tokens(tokens):
 
 def generators(surface):
     """The twist elements and the central involution for a surface."""
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         ta = twist_derivative(cylinder_decomposition(surface, HORIZONTAL))
         tb = twist_derivative(cylinder_decomposition(surface, VERTICAL))
         minus_id = Mat2(mpmath.mpf(-1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(-1))

@@ -16,11 +16,10 @@ import sys
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from . import __version__, acceptance, affine, amalgam, curves, dynamics, flat_surface, obstruction
 from .errors import EdgeWordError, LamkitError, ParameterError
-from .precision import mpf_str, resolve_precision, working_precision
+from .precision import mpf_str, resolve_precision
 from .traintrack import TrackWeights
 
 USAGE_EXIT = 2
@@ -84,36 +83,34 @@ def surface_text(surface):
 
 def cmd_cylinders(args):
     surface = _load_surface(args)
-    with working_precision(surface.precision):
-        cyls = flat_surface.cylinder_decomposition(surface, args.dir)
-        doc = {
-            "config": _config(args, direction=args.dir),
-            "cylinders": [
-                {
-                    "label": c.label,
-                    "circumference": mpf_str(c.circumference),
-                    "height": mpf_str(c.height),
-                    "modulus": mpf_str(c.modulus),
-                }
-                for c in cyls
-            ],
-        }
+    cyls = flat_surface.cylinder_decomposition(surface, args.dir)
+    doc = {
+        "config": _config(args, direction=args.dir),
+        "cylinders": [
+            {
+                "label": c.label,
+                "circumference": mpf_str(c.circumference),
+                "height": mpf_str(c.height),
+                "modulus": mpf_str(c.modulus),
+            }
+            for c in cyls
+        ],
+    }
     _write(_dump_json(doc), args.out)
     return 0
 
 
 def cmd_affine(args):
     surface = _load_surface(args)
-    with working_precision(surface.precision):
-        element = affine.evaluate_word(args.word, surface)
-        m = element.derivative
-        doc = {
-            "config": _config(args, word=args.word),
-            "label": element.label,
-            "derivative": [[mpf_str(m.a), mpf_str(m.b)], [mpf_str(m.c), mpf_str(m.d)]],
-            "trace": mpf_str(m.trace()),
-            "classification": affine.classify(m),
-        }
+    element = affine.evaluate_word(args.word, surface)
+    m = element.derivative
+    doc = {
+        "config": _config(args, word=args.word),
+        "label": element.label,
+        "derivative": [[mpf_str(m.a), mpf_str(m.b)], [mpf_str(m.c), mpf_str(m.d)]],
+        "trace": mpf_str(m.trace()),
+        "classification": affine.classify(m),
+    }
     _write(_dump_json(doc), args.out)
     return 0
 
@@ -169,40 +166,35 @@ def cmd_twist_limit(args):
 
 def cmd_circle_map(args):
     surface = _load_surface(args)
-    with working_precision(surface.precision):
-        samples = dynamics.circle_samples(surface, args.samples)
-        if args.csv:
-            g = surface.genus
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            labels = [f"a{i}" for i in range(1, g + 1)] + [f"b{j}" for j in range(1, g + 1)]
-            writer.writerow(["theta"] + labels)
-            for theta, cls in samples:
-                writer.writerow([mpf_str(theta)] + [mpf_str(v) for v in cls.normalized()])
-            _write(buf.getvalue(), args.out)
-            return 0
-        lifts = dynamics.lift_matrix([cls for _, cls in samples])
-        diffs = np.max(np.abs(lifts[:, None, :] - lifts[None, :, :]), axis=2)
-        np.fill_diagonal(diffs, np.inf)
-        doc = {
-            "config": _config(args),
-            "samples": len(samples),
-            "arc": ["0", "pi/2"],
-            "min_pairwise_distance": repr(float(diffs.min())),
-        }
-        _write(_dump_json(doc), args.out)
+    samples = dynamics.circle_samples(surface, args.samples)
+    if args.csv:
+        g = surface.genus
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        labels = [f"a{i}" for i in range(1, g + 1)] + [f"b{j}" for j in range(1, g + 1)]
+        writer.writerow(["theta"] + labels)
+        for theta, cls in samples:
+            writer.writerow([mpf_str(theta)] + [mpf_str(v) for v in cls.normalized()])
+        _write(buf.getvalue(), args.out)
+        return 0
+    doc = {
+        "config": _config(args),
+        "samples": len(samples),
+        "arc": ["0", "pi/2"],
+        "min_pairwise_distance": repr(dynamics.min_pairwise_distance([cls for _, cls in samples])),
+    }
+    _write(_dump_json(doc), args.out)
     return 0
 
 
 def cmd_heights(args):
     surface = _load_surface(args)
-    with working_precision(surface.precision):
-        cyls = flat_surface.cylinder_decomposition(surface, flat_surface.VERTICAL)
-        doc = {
-            "config": _config(args),
-            "heights": [mpf_str(c.height) for c in cyls],
-            "labels": [c.label for c in cyls],
-        }
+    cyls = flat_surface.cylinder_decomposition(surface, flat_surface.VERTICAL)
+    doc = {
+        "config": _config(args),
+        "heights": [mpf_str(c.height) for c in cyls],
+        "labels": [c.label for c in cyls],
+    }
     _write(_dump_json(doc), args.out)
     return 0
 
@@ -224,21 +216,18 @@ def cmd_witness(args):
     if args.tol <= 0:
         raise ParameterError(f"--tol must be positive, got {args.tol}")
     surface = _load_surface(args)
-    with working_precision(surface.precision):
-        w = obstruction.vertical_heights(surface)
-        v = tuple(_parse_number(tok) for tok in args.bvec.split(","))
-        if len(v) != surface.genus:
-            raise ParameterError(
-                f"--bvec needs {surface.genus} entries, got {len(v)}"
-            )
-        result = obstruction.contradiction_witness(v, w, tol=args.tol)
-        doc = {
-            "config": _config(args, bvec=args.bvec),
-            "in_Y": result.in_locus,
-            "separation": _num_str(result.separation),
-            "limit_class": [_num_str(x) for x in result.limit_class.normalized()],
-            "nu_B_class": [_num_str(x) for x in result.heights_class.normalized()],
-        }
+    w = obstruction.vertical_heights(surface)
+    v = tuple(_parse_number(tok) for tok in args.bvec.split(","))
+    if len(v) != surface.genus:
+        raise ParameterError(f"--bvec needs {surface.genus} entries, got {len(v)}")
+    result = obstruction.contradiction_witness(v, w, tol=args.tol)
+    doc = {
+        "config": _config(args, bvec=args.bvec),
+        "in_Y": result.in_locus,
+        "separation": _num_str(result.separation),
+        "limit_class": [_num_str(x) for x in result.limit_class.normalized()],
+        "nu_B_class": [_num_str(x) for x in result.heights_class.normalized()],
+    }
     _write(_dump_json(doc), args.out)
     return 0
 
@@ -373,7 +362,7 @@ def main(argv=None):
     try:
         bits = resolve_precision(args.precision)
         args.precision = bits
-        with working_precision(bits):
+        with mpmath.workprec(bits):
             return args.handler(args)
     except (ParameterError, EdgeWordError) as exc:
         print(f"error: {exc}", file=sys.stderr)

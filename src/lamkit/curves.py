@@ -36,7 +36,6 @@ from .flat_surface import (
     VERTICAL,
     cylinder_decomposition,
     _diameter,
-    working_precision,
 )
 
 # margin (relative to surface diameter) below which a core crossing is
@@ -147,7 +146,7 @@ def derive_intersection_matrix(surface):
     of the a_{i+1} core with the b_{j+1} core, in the labeling order of
     :func:`lamkit.flat_surface.cylinder_decomposition`.
     """
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         hs = cylinder_decomposition(surface, HORIZONTAL)
         vs = cylinder_decomposition(surface, VERTICAL)
         margin = mpmath.mpf(_CROSSING_MARGIN) * max(1, _diameter(surface))

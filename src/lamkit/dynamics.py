@@ -24,8 +24,8 @@ import mpmath
 import numpy as np
 
 from .errors import HypothesisError, ParameterError
-from .flat_surface import HORIZONTAL, VERTICAL, cylinder_decomposition, working_precision
-from .precision import value_precision
+from .flat_surface import HORIZONTAL, VERTICAL, cylinder_decomposition
+from .precision import merge_tolerance, value_precision
 from .traintrack import curve_class
 
 
@@ -77,9 +77,6 @@ class ProjectiveClass:
         with mpmath.workprec(value_precision(*a, *b)):
             return max(abs(_to_mpf(x) - _to_mpf(y)) for x, y in zip(a, b))
 
-    def is_close(self, other, tol):
-        return self.distance(other) <= tol
-
 
 # ---------------------------------------------------------------------------
 # twist limits
@@ -92,17 +89,22 @@ def twist_limit(weights):
     of the sum of the twisting curves weighted by the x_j, expressed in the
     same flattened track coordinates as the iterates.
     """
-    xs = [c[0] for c in weights.components]
-    if any(x == 0 for x in xs):
+    if any(c[0] == 0 for c in weights.components):
         raise HypothesisError(
             "twist limit needs nonzero crossing weight on every component"
         )
+    return ProjectiveClass(_crossing_curve_sum(weights))
+
+
+def _crossing_curve_sum(weights):
+    """Sum of the twisting curves weighted by their crossing weights x_j."""
     n = weights.n
     acc = [Fraction(0)] * (3 * n + len(weights.rest))
-    for j, x in enumerate(xs, start=1):
-        base = curve_class(j, n, rest_len=len(weights.rest)).as_vector()
-        acc = [a + x * b for a, b in zip(acc, base)]
-    return ProjectiveClass(tuple(acc))
+    for j, (x, _, _) in enumerate(weights.components, start=1):
+        if x != 0:
+            base = curve_class(j, n, rest_len=len(weights.rest)).as_vector()
+            acc = [a + x * b for a, b in zip(acc, base)]
+    return tuple(acc)
 
 
 @dataclass(frozen=True)
@@ -110,21 +112,6 @@ class TraceSample:
     k: int
     projective: ProjectiveClass
     error: object  # exact Fraction distance to the iteration limit
-
-
-def _iteration_limit(weights):
-    """Projective limit of the honest iteration, zero crossing weights allowed."""
-    xs = [c[0] for c in weights.components]
-    if all(x == 0 for x in xs):
-        return ProjectiveClass(weights.as_vector())
-    n = weights.n
-    acc = [Fraction(0)] * (3 * n + len(weights.rest))
-    for j, x in enumerate(xs, start=1):
-        if x == 0:
-            continue
-        base = curve_class(j, n, rest_len=len(weights.rest)).as_vector()
-        acc = [a + x * b for a, b in zip(acc, base)]
-    return ProjectiveClass(tuple(acc))
 
 
 def _default_checkpoints(k_max, count=80):
@@ -151,7 +138,9 @@ def iterate_trace(weights, k_max, checkpoints=None):
     if checkpoints is None:
         checkpoints = _default_checkpoints(k_max)
     checkpoints = sorted({int(k) for k in checkpoints if 1 <= int(k) <= k_max})
-    limit_norm = _iteration_limit(weights).normalized()
+    # all x_j = 0 leaves the input fixed, so it is its own limit
+    limit = _crossing_curve_sum(weights)
+    limit_norm = ProjectiveClass(limit if any(limit) else weights.as_vector()).normalized()
 
     vec = weights.as_vector()
     denom = 1
@@ -210,12 +199,12 @@ def foliation_entries(surface, theta):
     |v x u_theta|; horizontal cores have holonomy (c, 0) and vertical ones
     (0, c), so the entries are c_i |sin theta| and c_j |cos theta|.
     """
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         t = mpmath.mpf(theta)
         s, c = abs(mpmath.sin(t)), abs(mpmath.cos(t))
         # the distinguished angles 0 and pi/2 are meant exactly; snap the
         # roundoff residue of the pi/2 representation to a true zero
-        eps = mpmath.mpf(2) ** (-(surface.precision // 2))
+        eps = merge_tolerance(surface.precision)
         s = mpmath.mpf(0) if s < eps else s
         c = mpmath.mpf(0) if c < eps else c
         hs = cylinder_decomposition(surface, HORIZONTAL)
@@ -242,7 +231,7 @@ def circle_samples(surface, count, arc=None):
     """
     if count < 2:
         raise ParameterError("need at least two samples")
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         if arc is None:
             lo, hi = mpmath.mpf(0), mpmath.pi / 2
         else:
@@ -259,6 +248,14 @@ def lift_matrix(classes):
     return np.array(
         [[float(v) for v in cls.normalized()] for cls in classes], dtype=np.float64
     )
+
+
+def min_pairwise_distance(classes):
+    """Smallest sup-norm distance between the lifts of two different classes."""
+    lifts = lift_matrix(classes)
+    diffs = np.max(np.abs(lifts[:, None, :] - lifts[None, :, :]), axis=2)
+    np.fill_diagonal(diffs, np.inf)
+    return float(diffs.min())
 
 
 def numerical_rank_ratio(classes):

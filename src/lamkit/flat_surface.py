@@ -33,7 +33,6 @@ from .precision import (
     parse_mpf,
     resolve_precision,
     value_precision,
-    working_precision,
 )
 
 HORIZONTAL = "horizontal"
@@ -97,11 +96,6 @@ class Cylinder:
         with mpmath.workprec(value_precision(self.height, self.circumference)):
             return self.height / self.circumference
 
-    @property
-    def angle(self):
-        """Direction angle in [0, pi)."""
-        return mpmath.mpf(0) if self.direction == HORIZONTAL else mpmath.pi / 2
-
 
 @dataclass(frozen=True)
 class TranslationSurface:
@@ -144,7 +138,7 @@ def build_double_polygon(g, precision=None):
         raise ParameterError(f"genus must be an integer >= 2, got {g!r}")
     bits = resolve_precision(precision)
     n = 2 * g + 1
-    with working_precision(bits):
+    with mpmath.workprec(bits):
         two_pi = 2 * mpmath.pi
         verts = [(mpmath.mpf(0), mpmath.mpf(0))]
         for k in range(n - 1):
@@ -187,7 +181,7 @@ def _diameter(surface):
 
 def area(surface):
     """Total flat area: sum of the polygon areas (shoelace formula)."""
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         return sum(abs(_shoelace(poly)) for poly in surface.polygons)
 
 
@@ -236,7 +230,7 @@ def _interior_angle(poly, i):
 
 def cone_angles(surface):
     """Total interior angle at each identified vertex class."""
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         angles = []
         for cls in vertex_classes(surface):
             total = mpmath.mpf(0)
@@ -252,7 +246,7 @@ def validate(surface, tol=DEFAULT_TOLERANCE):
         raise InvalidSurfaceError(f"genus must be an integer >= 2, got {surface.genus!r}")
     if len(surface.polygons) != 2:
         raise InvalidSurfaceError("expected exactly two polygons")
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         scale = _diameter(surface)
         slack = scale * mpmath.mpf(tol)
         for p, poly in enumerate(surface.polygons):
@@ -373,29 +367,33 @@ def _critical_levels(surface, direction, slack, cap):
                 queue.append((p, _level(v, direction)))
     while queue:
         p, lv = queue.pop()
-        for e in range(len(surface.polygons[p])):
-            lo, hi = _edge_span(surface, p, e, direction)
-            if lo + slack < lv < hi - slack:
-                q, f = partner[(p, e)]
-                t = _gluing_translation(surface, p, e, q, f)
-                image = lv + _level(t, direction)
-                if _insert_level(levels[q], image, slack):
-                    queue.append((q, image))
-                    if sum(len(ls) for ls in levels) > cap:
-                        raise DecompositionError(
-                            f"{direction} direction is not completely periodic "
-                            f"(separatrix levels fail to close up)"
-                        )
+        for e in _crossing_edges(surface, p, lv, direction, slack):
+            q, f = partner[(p, e)]
+            t = _gluing_translation(surface, p, e, q, f)
+            image = lv + _level(t, direction)
+            if _insert_level(levels[q], image, slack):
+                queue.append((q, image))
+                if sum(len(ls) for ls in levels) > cap:
+                    raise DecompositionError(
+                        f"{direction} direction is not completely periodic "
+                        f"(separatrix levels fail to close up)"
+                    )
     return levels
+
+
+def _crossing_edges(surface, p, level, direction, slack):
+    """Edges of polygon ``p``, in index order, whose span contains ``level``
+    farther than ``slack`` from either end."""
+    spans = (_edge_span(surface, p, e, direction) for e in range(len(surface.polygons[p])))
+    return [e for e, (lo, hi) in enumerate(spans) if lo + slack < level < hi - slack]
 
 
 def _chord_edges(surface, p, level, direction, slack):
     """The two boundary edges crossing ``level`` strictly, sorted by along."""
-    hits = []
-    for e in range(len(surface.polygons[p])):
-        lo, hi = _edge_span(surface, p, e, direction)
-        if lo + slack < level < hi - slack:
-            hits.append((_along_on_edge(surface, p, e, level, direction), e))
+    hits = [
+        (_along_on_edge(surface, p, e, level, direction), e)
+        for e in _crossing_edges(surface, p, level, direction, slack)
+    ]
     if len(hits) != 2:
         raise DecompositionError(
             f"level chord of polygon {p} crossed {len(hits)} edges; "
@@ -445,7 +443,7 @@ def cylinder_decomposition(surface, direction):
 
 @lru_cache(maxsize=None)
 def _decomposition_cached(surface, direction):
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
         n_edges = sum(len(p) for p in surface.polygons)
         cap = 64 * n_edges + 256
@@ -541,7 +539,7 @@ def hyperelliptic_symmetry(surface, tol=DEFAULT_TOLERANCE):
     returning False.
     """
     validate(surface, tol)
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         verts = surface.all_vertices()
         cx = sum(v[0] for v in verts) / len(verts)
         cy = sum(v[1] for v in verts) / len(verts)
@@ -611,7 +609,7 @@ def hyperelliptic_symmetry(surface, tol=DEFAULT_TOLERANCE):
 
 def surface_to_json(surface):
     """Serialize to the documented JSON schema with full-precision decimals."""
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         doc = {
             "genus": surface.genus,
             "precision_bits": surface.precision,
@@ -626,7 +624,7 @@ def surface_to_json(surface):
 def surface_from_json(text, precision=None):
     doc = json.loads(text)
     bits = resolve_precision(precision if precision is not None else doc.get("precision_bits"))
-    with working_precision(bits):
+    with mpmath.workprec(bits):
         polygons = tuple(
             tuple((parse_mpf(x), parse_mpf(y)) for x, y in poly) for poly in doc["polygons"]
         )

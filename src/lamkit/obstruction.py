@@ -22,7 +22,7 @@ import mpmath
 
 from .dynamics import ProjectiveClass
 from .errors import HypothesisError, ParameterError
-from .flat_surface import VERTICAL, build_double_polygon, cylinder_decomposition, working_precision
+from .flat_surface import VERTICAL, build_double_polygon, cylinder_decomposition
 from .traintrack import DEFAULT_MAX_DENOMINATOR, rationalize
 
 DEFAULT_RATIO_TOLERANCE = 1e-10
@@ -30,7 +30,7 @@ DEFAULT_RATIO_TOLERANCE = 1e-10
 
 def vertical_heights(surface):
     """Vertical cylinder heights in b-label order."""
-    with working_precision(surface.precision):
+    with mpmath.workprec(surface.precision):
         return tuple(c.height for c in cylinder_decomposition(surface, VERTICAL))
 
 
@@ -88,16 +88,12 @@ def contradiction_witness(v, w, tol=DEFAULT_RATIO_TOLERANCE):
     otherwise certifies the incompatibility of the two limits.
     """
     v, w = tuple(v), tuple(w)
-    if len(v) != len(w):
-        raise ParameterError("vectors must have equal length")
-    _check_positive("v", v)
-    _check_positive("w", w)
+    in_locus = in_ratio_locus(v, w, tol)
     limit_class = ProjectiveClass(v)
     heights_class = ProjectiveClass(w)
-    separation = limit_class.distance(heights_class)
     return WitnessResult(
-        separation=separation,
-        in_locus=in_ratio_locus(v, w, tol),
+        separation=limit_class.distance(heights_class),
+        in_locus=in_locus,
         limit_class=limit_class,
         heights_class=heights_class,
     )
@@ -133,10 +129,7 @@ def genericity_sample(
     if not isinstance(n_samples, int) or n_samples < 1:
         raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
     surface = build_double_polygon(g, precision=precision)
-    with working_precision(surface.precision):
-        w = rationalize(
-            [mpmath.mpf(h) for h in vertical_heights(surface)], max_denominator
-        )
+    w = rationalize(vertical_heights(surface), max_denominator)
     rng = random.Random(seed)
     hits = 0
     for index in range(n_samples):

@@ -9,8 +9,8 @@ The default is 128 bits and can be overridden globally with the
 LAMKIT_PRECISION environment variable (in bits) or per call site.
 """
 
+import math
 import os
-from contextlib import contextmanager
 
 import mpmath
 
@@ -39,13 +39,6 @@ def resolve_precision(bits=None):
     return bits
 
 
-@contextmanager
-def working_precision(bits):
-    """Context manager running mpmath at ``bits`` binary digits."""
-    with mpmath.workprec(bits):
-        yield mpmath.mp
-
-
 def merge_tolerance(bits):
     """Absolute slack used to decide that two traced coordinates coincide.
 
@@ -69,11 +62,14 @@ def value_precision(*values, minimum=53):
 
 
 def mpf_str(x):
-    """Decimal string carrying the full working precision of ``x``."""
-    with mpmath.workprec(mpmath.mp.prec):
-        return mpmath.nstr(
-            mpmath.mpf(x), int(mpmath.mp.dps) + 2, strip_zeros=True, min_fixed=1, max_fixed=0
-        )
+    """Decimal string that reads back to the same value at the working precision.
+
+    ceil(prec * log10 2) + 1 significant digits always round-trip; mpmath's
+    dps + 2 is kept where it is larger, so common precisions print as before.
+    """
+    prec = mpmath.mp.prec
+    digits = max(int(mpmath.mp.dps) + 2, math.ceil(prec * math.log10(2)) + 1)
+    return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=True, min_fixed=1, max_fixed=0)
 
 
 def parse_mpf(s):

@@ -145,3 +145,39 @@ def test_inverse_and_identity_power(surface):
     prod = (ta * ta.inverse()).derivative
     assert classify(prod) == "identity"
     assert (ta**0).label == "1"
+
+
+def _powers_by_products(element, k_max):
+    """Yield (k, element**k) for k = 1..k_max by repeated right multiplication.
+
+    This is the |k|-fold product loop that ``AffineElement.__pow__`` once ran;
+    step k performs exactly the products that loop performed for exponent k.
+    """
+    result = element
+    for k in range(1, k_max + 1):
+        yield k, result
+        result = result * element
+
+
+@pytest.mark.parametrize("bits", [64, 128, 1024])
+@pytest.mark.parametrize("g", [2, 5, 8])
+def test_power_matches_product_loop(surface, g, bits):
+    wanted = set(range(1, 301)) | {3000}
+    for name, gen in generators(surface(g, precision=bits)).items():
+        assert (gen**0).label == "1" and (gen**0).derivative == identity_matrix()
+        for sign, base in ((1, gen), (-1, gen.inverse())):
+            for k, expected in _powers_by_products(base, 3000):
+                if k in wanted:
+                    actual = gen ** (sign * k)
+                    assert actual.label == expected.label, (name, sign * k)
+                    assert actual.derivative.rows() == expected.derivative.rows(), (name, sign * k)
+
+
+def test_huge_twist_power_is_exact(surface):
+    s = surface(2)
+    shear = generators(s)["TA"].derivative.b
+    element = evaluate_word("TA^100000", s)
+    assert element.label == "TA^100000"
+    with mpmath.workprec(s.precision + 32):  # 100000 * shear is exact here
+        expected = ((1, 100000 * shear), (0, 1))
+    assert element.derivative.rows() == expected

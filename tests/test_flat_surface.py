@@ -190,6 +190,13 @@ def test_json_roundtrip_is_byte_stable(surface):
             assert abs(a.height - b.height) < mpmath.mpf("1e-30")
 
 
+@pytest.mark.parametrize("bits", [134, 141, 151])
+def test_json_roundtrip_is_exact(surface, bits):
+    # at these precisions mpmath's dps + 2 digits are one too few to read back
+    s = surface(2, precision=bits)
+    assert surface_from_json(surface_to_json(s)) == s
+
+
 def test_custom_precision_is_recorded_and_used():
     s = build_double_polygon(2, precision=96)
     assert s.precision == 96

@@ -20,7 +20,7 @@ import mpmath
 
 from .errors import InvalidMatrixError, NotParabolicError, ParameterError
 from .flat_surface import HORIZONTAL, VERTICAL, cylinder_decomposition
-from .precision import value_precision
+from .precision import DEFAULT_TOLERANCE, value_precision
 
 DET_TOLERANCE = 1e-12
 TRACE_TOLERANCE = 1e-9
@@ -78,37 +78,37 @@ def identity_matrix():
     return Mat2(1, 0, 0, 1)
 
 
-def classify(m, tol=TRACE_TOLERANCE):
+def classify(m):
     """Classify a unit-determinant matrix as identity/parabolic/elliptic/hyperbolic.
 
     Plus or minus the identity is reported as ``identity`` (central).  The
-    trace comparison against 2 uses ``tol``; the determinant check uses the
-    stricter matrix tolerance.
+    trace comparison against 2 uses TRACE_TOLERANCE; the determinant check
+    uses the stricter DET_TOLERANCE.
     """
     det = m.det()
     if abs(det - 1) > DET_TOLERANCE * max(1, abs(det)):
         raise InvalidMatrixError(f"matrix determinant {det} is not 1")
     for sign in (1, -1):
         if (
-            abs(m.a - sign) <= tol
-            and abs(m.d - sign) <= tol
-            and abs(m.b) <= tol
-            and abs(m.c) <= tol
+            abs(m.a - sign) <= TRACE_TOLERANCE
+            and abs(m.d - sign) <= TRACE_TOLERANCE
+            and abs(m.b) <= TRACE_TOLERANCE
+            and abs(m.c) <= TRACE_TOLERANCE
         ):
             return "identity"
     t = abs(m.trace())
-    if t > 2 + tol:
+    if t > 2 + TRACE_TOLERANCE:
         return "hyperbolic"
-    if t < 2 - tol:
+    if t < 2 - TRACE_TOLERANCE:
         return "elliptic"
     return "parabolic"
 
 
-def twist_derivative(cylinders, tol=1e-12):
+def twist_derivative(cylinders):
     """Derivative of the simultaneous unit twist in an equal-modulus direction.
 
     All cylinders must share a direction and have equal moduli (within the
-    relative tolerance); otherwise the multitwist is not affine and a
+    relative DEFAULT_TOLERANCE); otherwise the multitwist is not affine and a
     NotParabolicError is raised.
     """
     if not cylinders:
@@ -120,7 +120,7 @@ def twist_derivative(cylinders, tol=1e-12):
     with mpmath.workprec(value_precision(*values)):
         moduli = [c.modulus for c in cylinders]
         m0 = moduli[0]
-        if any(abs(m - m0) > tol * abs(m0) for m in moduli):
+        if any(abs(m - m0) > DEFAULT_TOLERANCE * abs(m0) for m in moduli):
             raise NotParabolicError(
                 f"moduli in the {direction} direction are not all equal"
             )
@@ -178,6 +178,7 @@ def _merge_tokens(tokens):
 
 def generators(surface):
     """The twist elements and the central involution for a surface."""
+    # twist_derivative negates the vertical shear at the ambient precision
     with mpmath.workprec(surface.precision):
         ta = twist_derivative(cylinder_decomposition(surface, HORIZONTAL))
         tb = twist_derivative(cylinder_decomposition(surface, VERTICAL))

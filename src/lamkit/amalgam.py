@@ -67,12 +67,11 @@ def cyclic_decompose(word):
     The core is cyclically reduced; the decomposition is unique and obtained
     by peeling matched inverse letters off the two ends.
     """
-    core = list(word)
-    conj = []
-    while len(core) >= 2 and core[0] == -core[-1]:
-        conj.append(core[0])
-        core = core[1:-1]
-    return tuple(conj), tuple(core)
+    word = tuple(word)
+    i = 0
+    while len(word) - 2 * i >= 2 and word[i] == -word[-1 - i]:
+        i += 1
+    return word[:i], word[i : len(word) - i]
 
 
 def is_proper_power(word):
@@ -119,15 +118,6 @@ def power_of_edge(word, z):
     return None
 
 
-def _is_rotation(word, of):
-    if len(word) != len(of):
-        return False
-    if len(word) == 0:
-        return True
-    doubled = of + of
-    return any(doubled[i : i + len(word)] == word for i in range(len(of)))
-
-
 def conjugate_power_of_edge(word, z):
     """True iff the word is conjugate, within its factor, to a power of z."""
     z = _validate_edge_word(z)
@@ -138,9 +128,10 @@ def conjugate_power_of_edge(word, z):
     _, core_z = cyclic_decompose(z)
     if len(core_w) % len(core_z) != 0:
         return False
+    # a rotation of c**k is the k-th power of a rotation of c
     k = len(core_w) // len(core_z)
-    return _is_rotation(core_w, core_z * k) or _is_rotation(
-        core_w, free_inv(core_z) * k
+    return any(
+        core_w == (c[j:] + c[:j]) * k for c in (core_z, free_inv(core_z)) for j in range(len(c))
     )
 
 

@@ -58,7 +58,11 @@ def _parse_number(token):
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
+        pass
+    try:
         return mpmath.mpf(token)
+    except ValueError:
+        raise ParameterError(f"{token!r} is not a number") from None
 
 
 def _num_str(x):
@@ -364,7 +368,7 @@ def main(argv=None):
         args.precision = bits
         with mpmath.workprec(bits):
             return args.handler(args)
-    except (ParameterError, EdgeWordError) as exc:
+    except (ParameterError, EdgeWordError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except LamkitError as exc:

@@ -114,10 +114,13 @@ class TraceSample:
     error: object  # exact Fraction distance to the iteration limit
 
 
-def _default_checkpoints(k_max, count=80):
+_CHECKPOINTS = 80
+
+
+def _default_checkpoints(k_max):
     ks = {1, k_max}
-    for i in range(1, count):
-        ks.add(max(1, round(k_max ** (i / count))))
+    for i in range(1, _CHECKPOINTS):
+        ks.add(max(1, round(k_max ** (i / _CHECKPOINTS))))
     return sorted(ks)
 
 
@@ -222,20 +225,17 @@ def direction_foliation(surface, theta):
     return ProjectiveClass(entries)
 
 
-def circle_samples(surface, count, arc=None):
-    """Evenly spaced (theta, class) samples along an arc of the direction circle.
+def circle_samples(surface, count):
+    """Evenly spaced (theta, class) samples along the arc [0, pi/2].
 
-    The default arc [0, pi/2] is a fundamental domain for the fold
-    theta ~ pi - theta of the core-pairing coordinates and contains both
-    distinguished directions as endpoints.
+    The arc is a fundamental domain for the fold theta ~ pi - theta of the
+    core-pairing coordinates and contains both distinguished directions as
+    endpoints.
     """
     if count < 2:
         raise ParameterError("need at least two samples")
     with mpmath.workprec(surface.precision):
-        if arc is None:
-            lo, hi = mpmath.mpf(0), mpmath.pi / 2
-        else:
-            lo, hi = mpmath.mpf(arc[0]), mpmath.mpf(arc[1])
+        lo, hi = mpmath.mpf(0), mpmath.pi / 2
         step = (hi - lo) / (count - 1)
         return [
             (lo + i * step, direction_foliation(surface, lo + i * step))

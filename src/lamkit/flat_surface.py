@@ -240,7 +240,7 @@ def cone_angles(surface):
         return angles
 
 
-def validate(surface, tol=DEFAULT_TOLERANCE):
+def validate(surface):
     """Check all structural invariants; raise InvalidSurfaceError on failure."""
     if not isinstance(surface.genus, int) or surface.genus < 2:
         raise InvalidSurfaceError(f"genus must be an integer >= 2, got {surface.genus!r}")
@@ -248,7 +248,7 @@ def validate(surface, tol=DEFAULT_TOLERANCE):
         raise InvalidSurfaceError("expected exactly two polygons")
     with mpmath.workprec(surface.precision):
         scale = _diameter(surface)
-        slack = scale * mpmath.mpf(tol)
+        slack = scale * mpmath.mpf(DEFAULT_TOLERANCE)
         for p, poly in enumerate(surface.polygons):
             if len(poly) < 3:
                 raise InvalidSurfaceError(f"polygon {p} has fewer than 3 vertices")
@@ -286,13 +286,13 @@ def validate(surface, tol=DEFAULT_TOLERANCE):
         excess = mpmath.mpf(0)
         for angle in cone_angles(surface):
             multiple = angle / two_pi
-            if abs(multiple - mpmath.nint(multiple)) > tol * 100:
+            if abs(multiple - mpmath.nint(multiple)) > DEFAULT_TOLERANCE * 100:
                 raise InvalidSurfaceError("cone angle is not an integer multiple of 2*pi")
             if mpmath.nint(multiple) < 1:
                 raise InvalidSurfaceError("cone angle below 2*pi")
             excess += angle - two_pi
         expected = two_pi * (2 * surface.genus - 2)
-        if abs(excess - expected) > tol * 100 * max(1, abs(expected)):
+        if abs(excess - expected) > DEFAULT_TOLERANCE * 100 * max(1, abs(expected)):
             raise InvalidSurfaceError(
                 f"angle excess {excess} does not match 2*pi*(2g-2) = {expected}"
             )
@@ -311,12 +311,6 @@ def _along(point, direction):
     return point[1 - _LEVEL_AXIS[direction]]
 
 
-def _edge_span(surface, p, e, direction):
-    a, b = surface.edge(p, e)
-    la, lb = _level(a, direction), _level(b, direction)
-    return (la, lb) if la <= lb else (lb, la)
-
-
 def _along_on_edge(surface, p, e, level, direction):
     a, b = surface.edge(p, e)
     la, lb = _level(a, direction), _level(b, direction)
@@ -324,94 +318,89 @@ def _along_on_edge(surface, p, e, level, direction):
     return _along(a, direction) + t * (_along(b, direction) - _along(a, direction))
 
 
-def _gluing_translation(surface, p, e, q, f):
-    # maps edge (p, e) onto (q, f); ends go to starts under the reversal
-    (_, b_end) = surface.edge(p, e)
-    (c_start, _) = surface.edge(q, f)
-    return (c_start[0] - b_end[0], c_start[1] - b_end[1])
-
-
-def _partner(surface):
+def _edge_table(surface, direction):
+    """Per polygon, one row ``(lo, hi, q, f, shift)`` per edge: its level span, the
+    edge glued to it and the level shift of the gluing (end of e to start of f)."""
     partner = {}
-    for (p, e), (q, f) in surface.gluings:
-        partner[(p, e)] = (q, f)
-        partner[(q, f)] = (p, e)
-    return partner
+    for one, other in surface.gluings:
+        partner[one], partner[other] = other, one
+    table = []
+    for p, poly in enumerate(surface.polygons):
+        rows = []
+        for e in range(len(poly)):
+            a, b = surface.edge(p, e)
+            la, lb = _level(a, direction), _level(b, direction)
+            q, f = partner[(p, e)]
+            shift = _level(surface.edge(q, f)[0], direction) - lb
+            rows.append(((la, lb) if la <= lb else (lb, la)) + (q, f, shift))
+        table.append(rows)
+    return table
 
 
-def _insert_level(levels, value, slack):
-    """Insert ``value`` into the sorted list unless a level within ``slack`` exists."""
+def _find_level(levels, value, slack):
+    """Index of the lowest level within ``slack`` of ``value`` in the sorted list,
+    or None.  Levels lie more than ``slack`` apart, so only two can match."""
     i = bisect.bisect_left(levels, value)
     for j in (i - 1, i):
         if 0 <= j < len(levels) and abs(levels[j] - value) <= slack:
-            return False
-    levels.insert(i, value)
-    return True
+            return j
+    return None
 
 
-def _critical_levels(surface, direction, slack, cap):
+def _critical_levels(surface, direction, table, slack, cap):
     """Vertex levels of each polygon, closed under transport across gluings.
 
     A critical level with its chord endpoint in the interior of an edge
     continues into the partner polygon; repeating until stable reproduces
-    the full set of separatrix levels.  Failure to stabilize within ``cap``
-    levels means the direction is not completely periodic.
+    the full set of separatrix levels; one within ``slack`` of a known level
+    merges into it.  Failure to stabilize within ``cap`` levels means the
+    direction is not completely periodic.
     """
-    partner = _partner(surface)
-    levels = []
+    levels = [[] for _ in surface.polygons]
     queue = []
+
+    def insert(p, level):
+        new = _find_level(levels[p], level, slack) is None
+        if new:
+            bisect.insort(levels[p], level)
+            queue.append((p, level))
+        return new
+
     for p, poly in enumerate(surface.polygons):
-        levels.append([])
         for v in poly:
-            if _insert_level(levels[p], _level(v, direction), slack):
-                queue.append((p, _level(v, direction)))
+            insert(p, _level(v, direction))
     while queue:
         p, lv = queue.pop()
-        for e in _crossing_edges(surface, p, lv, direction, slack):
-            q, f = partner[(p, e)]
-            t = _gluing_translation(surface, p, e, q, f)
-            image = lv + _level(t, direction)
-            if _insert_level(levels[q], image, slack):
-                queue.append((q, image))
-                if sum(len(ls) for ls in levels) > cap:
-                    raise DecompositionError(
-                        f"{direction} direction is not completely periodic "
-                        f"(separatrix levels fail to close up)"
-                    )
+        for e in _crossing_edges(table[p], lv, slack):
+            _, _, q, _, shift = table[p][e]
+            if insert(q, lv + shift) and sum(len(ls) for ls in levels) > cap:
+                raise DecompositionError(
+                    f"{direction} direction is not completely periodic "
+                    f"(separatrix levels fail to close up)"
+                )
     return levels
 
 
-def _crossing_edges(surface, p, level, direction, slack):
-    """Edges of polygon ``p``, in index order, whose span contains ``level``
-    farther than ``slack`` from either end."""
-    spans = (_edge_span(surface, p, e, direction) for e in range(len(surface.polygons[p])))
-    return [e for e, (lo, hi) in enumerate(spans) if lo + slack < level < hi - slack]
+def _crossing_edges(rows, level, slack):
+    """Edges, in index order, whose span contains ``level`` with ``slack`` to spare."""
+    return [e for e, (lo, hi, *_) in enumerate(rows) if lo + slack < level < hi - slack]
 
 
-def _chord_edges(surface, p, level, direction, slack):
-    """The two boundary edges crossing ``level`` strictly, sorted by along."""
-    hits = [
-        (_along_on_edge(surface, p, e, level, direction), e)
-        for e in _crossing_edges(surface, p, level, direction, slack)
-    ]
-    if len(hits) != 2:
-        raise DecompositionError(
-            f"level chord of polygon {p} crossed {len(hits)} edges; "
-            f"expected 2 (is the polygon convex?)"
-        )
-    hits.sort(key=lambda pair: pair[0])
-    return hits
-
-
-def _build_strips(surface, direction, levels, slack):
+def _build_strips(surface, direction, table, levels, slack):
+    """One strip per pair of consecutive levels, between the two edges that cross
+    its mid-level (``edge_lo`` has the smaller along coordinate)."""
     strips = []
     for p, ls in enumerate(levels):
         for la, lb in zip(ls, ls[1:]):
-            if lb - la <= slack:
-                continue
             mid = (la + lb) / 2
-            (_, e_lo), (_, e_hi) = _chord_edges(surface, p, mid, direction, slack)
-            strips.append(Strip(p, la, lb, e_lo, e_hi))
+            edges = _crossing_edges(table[p], mid, slack)
+            if len(edges) != 2:
+                raise DecompositionError(
+                    f"level chord of polygon {p} crossed {len(edges)} edges; "
+                    f"expected 2 (is the polygon convex?)"
+                )
+            edges.sort(key=lambda e: _along_on_edge(surface, p, e, mid, direction))
+            strips.append(Strip(p, la, lb, *edges))
     return strips
 
 
@@ -419,13 +408,6 @@ def _strip_width(surface, strip, level, direction):
     hi = _along_on_edge(surface, strip.polygon, strip.edge_hi, level, direction)
     lo = _along_on_edge(surface, strip.polygon, strip.edge_lo, level, direction)
     return hi - lo
-
-
-def _strip_index(strips, polygon, level_lo, slack):
-    for i, s in enumerate(strips):
-        if s.polygon == polygon and abs(s.level_lo - level_lo) <= slack:
-            return i
-    raise DecompositionError("transported strip does not match any strip (closure bug)")
 
 
 def cylinder_decomposition(surface, direction):
@@ -447,17 +429,24 @@ def _decomposition_cached(surface, direction):
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
         n_edges = sum(len(p) for p in surface.polygons)
         cap = 64 * n_edges + 256
-        levels = _critical_levels(surface, direction, slack, cap)
-        strips = _build_strips(surface, direction, levels, slack)
-        partner = _partner(surface)
+        table = _edge_table(surface, direction)
+        levels = _critical_levels(surface, direction, table, slack, cap)
+        strips = _build_strips(surface, direction, table, levels, slack)
 
-        # first-return map on strips: exit through the high-along edge
+        # first-return map on strips: exit through the high-along edge.  The
+        # strips of polygon q are its consecutive level pairs, from first[q] on.
+        first = [0]
+        for ls in levels:
+            first.append(first[-1] + len(ls) - 1)
         next_strip = []
         for s in strips:
-            q, f = partner[(s.polygon, s.edge_hi)]
-            t = _gluing_translation(surface, s.polygon, s.edge_hi, q, f)
-            shift = _level(t, direction)
-            next_strip.append(_strip_index(strips, q, s.level_lo + shift, slack))
+            _, _, q, _, shift = table[s.polygon][s.edge_hi]
+            j = _find_level(levels[q], s.level_lo + shift, slack)
+            if j is None or j == len(levels[q]) - 1:
+                raise DecompositionError(
+                    "transported strip does not match any strip (closure bug)"
+                )
+            next_strip.append(first[q] + j)
         if sorted(next_strip) != list(range(len(strips))):
             raise DecompositionError("strip return map is not a bijection")
 
@@ -531,19 +520,19 @@ def _decomposition_cached(surface, direction):
 # hyperelliptic symmetry
 
 
-def hyperelliptic_symmetry(surface, tol=DEFAULT_TOLERANCE):
+def hyperelliptic_symmetry(surface):
     """True iff point reflection through the center is a self-map fixing
     every horizontal and every vertical cylinder.
 
     The surface is validated first; invalid input raises rather than
     returning False.
     """
-    validate(surface, tol)
+    validate(surface)
     with mpmath.workprec(surface.precision):
         verts = surface.all_vertices()
         cx = sum(v[0] for v in verts) / len(verts)
         cy = sum(v[1] for v in verts) / len(verts)
-        slack = mpmath.mpf(tol) * max(1, _diameter(surface))
+        slack = mpmath.mpf(DEFAULT_TOLERANCE) * max(1, _diameter(surface))
 
         def reflect(pt):
             return (2 * cx - pt[0], 2 * cy - pt[1])
@@ -622,17 +611,24 @@ def surface_to_json(surface):
 
 
 def surface_from_json(text, precision=None):
+    """Read a surface written by :func:`surface_to_json`; a malformed document
+    raises ParameterError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ParameterError("surface JSON must be an object")
     bits = resolve_precision(precision if precision is not None else doc.get("precision_bits"))
-    with mpmath.workprec(bits):
-        polygons = tuple(
-            tuple((parse_mpf(x), parse_mpf(y)) for x, y in poly) for poly in doc["polygons"]
-        )
-    surface = TranslationSurface(
-        genus=int(doc["genus"]),
-        polygons=polygons,
-        gluings=tuple(((p, e), (q, f)) for p, e, q, f in doc["gluings"]),
-        precision=bits,
-    )
+    try:
+        with mpmath.workprec(bits):
+            polygons = tuple(
+                tuple((parse_mpf(x), parse_mpf(y)) for x, y in poly) for poly in doc["polygons"]
+            )
+        gluings = tuple(((p, e), (q, f)) for p, e, q, f in doc["gluings"])
+        edges = {(p, e) for p, poly in enumerate(polygons) for e in range(len(poly))}
+        for edge in (edge for pair in gluings for edge in pair):
+            if edge not in edges or not all(type(i) is int for i in edge):
+                raise IndexError(f"gluing names edge {edge}, which does not exist")
+        surface = TranslationSurface(int(doc["genus"]), polygons, gluings, bits)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed surface JSON ({type(exc).__name__}: {exc})") from None
     validate(surface)
     return surface

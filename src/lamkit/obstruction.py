@@ -18,20 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 import random
 
-import mpmath
-
 from .dynamics import ProjectiveClass
 from .errors import HypothesisError, ParameterError
 from .flat_surface import VERTICAL, build_double_polygon, cylinder_decomposition
-from .traintrack import DEFAULT_MAX_DENOMINATOR, rationalize
+from .traintrack import rationalize
 
 DEFAULT_RATIO_TOLERANCE = 1e-10
 
 
 def vertical_heights(surface):
     """Vertical cylinder heights in b-label order."""
-    with mpmath.workprec(surface.precision):
-        return tuple(c.height for c in cylinder_decomposition(surface, VERTICAL))
+    return tuple(c.height for c in cylinder_decomposition(surface, VERTICAL))
 
 
 def _check_positive(name, values):
@@ -111,14 +108,7 @@ class SampleReport:
         return Fraction(self.hits, self.n_samples)
 
 
-def genericity_sample(
-    g,
-    n_samples,
-    seed,
-    plant_at=None,
-    max_denominator=DEFAULT_MAX_DENOMINATOR,
-    precision=None,
-):
+def genericity_sample(g, n_samples, seed, plant_at=None, precision=None):
     """Fraction of random positive rational vectors lying on the ratio locus.
 
     Entries are independent rationals p/q with p, q uniform in 1..1000;
@@ -129,7 +119,7 @@ def genericity_sample(
     if not isinstance(n_samples, int) or n_samples < 1:
         raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
     surface = build_double_polygon(g, precision=precision)
-    w = rationalize(vertical_heights(surface), max_denominator)
+    w = rationalize(vertical_heights(surface))
     rng = random.Random(seed)
     hits = 0
     for index in range(n_samples):

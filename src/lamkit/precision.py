@@ -29,9 +29,11 @@ DEFAULT_TOLERANCE = 1e-12
 def resolve_precision(bits=None):
     """Return the working precision in bits, honoring the environment override."""
     if bits is None:
-        env = os.environ.get(PRECISION_ENV_VAR)
-        bits = int(env) if env else DEFAULT_PRECISION_BITS
-    bits = int(bits)
+        bits = os.environ.get(PRECISION_ENV_VAR) or DEFAULT_PRECISION_BITS
+    try:
+        bits = int(bits)
+    except (TypeError, ValueError):
+        raise ParameterError(f"working precision must be an integer, got {bits!r}") from None
     if bits < MIN_PRECISION_BITS:
         raise ParameterError(
             f"working precision must be at least {MIN_PRECISION_BITS} bits, got {bits}"
@@ -48,12 +50,13 @@ def merge_tolerance(bits):
     return mpmath.mpf(2) ** (-(bits // 2))
 
 
-def value_precision(*values, minimum=53):
+def value_precision(*values):
     """Enough working bits to combine the given values without extra rounding.
 
-    Inspects mpmath mantissa widths; plain ints/Fractions contribute nothing.
+    Inspects mpmath mantissa widths (at least 53); plain ints/Fractions
+    contribute nothing.
     """
-    bits = minimum
+    bits = 53
     for v in values:
         tup = getattr(v, "_mpf_", None)
         if tup is not None:

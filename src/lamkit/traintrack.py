@@ -89,11 +89,17 @@ class TrackWeights:
 
     @classmethod
     def from_json_dict(cls, doc):
-        comps = tuple(
-            (Fraction(c["x"]), Fraction(c["y"]), Fraction(c["z"]))
-            for c in doc["components"]
-        )
-        rest = tuple(Fraction(r) for r in doc.get("rest", ()))
+        """Read :meth:`to_json_dict` output; a malformed document raises ParameterError."""
+        try:
+            comps = tuple(
+                (Fraction(c["x"]), Fraction(c["y"]), Fraction(c["z"]))
+                for c in doc["components"]
+            )
+            rest = tuple(Fraction(r) for r in doc.get("rest", ()))
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParameterError(
+                f"malformed weights JSON ({type(exc).__name__}: {exc})"
+            ) from None
         return cls(components=comps, rest=rest)
 
 

@@ -27,10 +27,12 @@ from lamkit.amalgam import (
     amalgam_word,
     britton_reduce,
     classify_element,
+    conjugate_power_of_edge,
     cyclic_decompose,
     format_word,
     free_inv,
     free_mul,
+    free_pow,
     free_reduce,
     is_britton_reduced,
     is_proper_power,
@@ -89,8 +91,6 @@ def test_power_of_edge_sweep(z):
         with pytest.raises(EdgeWordError):
             power_of_edge((1,), z)
         return
-    from lamkit.amalgam import free_pow
-
     for k in range(-20, 21):
         assert power_of_edge(free_pow(z, k), z) == k
     # appending a fresh letter lands outside the cyclic subgroup
@@ -102,6 +102,70 @@ def test_edge_word_validation():
         EdgeWords(left=(), right=(1,))
     with pytest.raises(EdgeWordError):
         EdgeWords(left=(1, 1), right=(1,))
+
+
+# The quadratic rotation test and slice peeling that the linear versions
+# replaced, kept as the reference they must agree with.
+
+
+def _reference_cyclic_decompose(word):
+    core = list(word)
+    conj = []
+    while len(core) >= 2 and core[0] == -core[-1]:
+        conj.append(core[0])
+        core = core[1:-1]
+    return tuple(conj), tuple(core)
+
+
+def _reference_is_rotation(word, of):
+    if len(word) != len(of):
+        return False
+    if len(word) == 0:
+        return True
+    doubled = of + of
+    return any(doubled[i : i + len(word)] == word for i in range(len(of)))
+
+
+def _reference_conjugate_power_of_edge(word, z):
+    word = free_reduce(word)
+    if not word:
+        return True
+    _, core_w = _reference_cyclic_decompose(word)
+    _, core_z = _reference_cyclic_decompose(free_reduce(z))
+    if len(core_w) % len(core_z) != 0:
+        return False
+    k = len(core_w) // len(core_z)
+    return _reference_is_rotation(core_w, core_z * k) or _reference_is_rotation(
+        core_w, free_inv(core_z) * k
+    )
+
+
+def _random_word(rng, z):
+    """A random reduced word; about half are conjugates of a rotated power of
+    z, some of those with one letter changed."""
+    letters = (1, -1, 2, -2, 3, -3)
+    if rng.random() < 0.5:
+        return free_reduce(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+    power = free_pow(z, rng.choice((-1, 1)) * rng.randint(1, 5))
+    j = rng.randrange(len(power))
+    core = list(power[j:] + power[:j])
+    if rng.random() < 0.3:
+        core[rng.randrange(len(core))] = rng.choice(letters)
+    conj = free_reduce(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+    return free_mul(conj, core, free_inv(conj))
+
+
+@pytest.mark.parametrize("z", [(1,), (1, 2), (2, -1, 3), (1, 1, 2)])
+def test_rotation_test_and_peeling_match_the_quadratic_reference(z):
+    rng = random.Random(41)
+    positives = 0
+    for _ in range(2000):
+        word = _random_word(rng, z)
+        assert cyclic_decompose(word) == _reference_cyclic_decompose(word)
+        expected = _reference_conjugate_power_of_edge(word, z)
+        assert conjugate_power_of_edge(word, z) == expected
+        positives += expected
+    assert 500 < positives < 1500
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +275,12 @@ def test_classification_matches_rotation_oracle_spotwise():
     universe = enumerate_words(max_syllables=3, rank=2, max_letters=2)
     for word in rng.sample(universe, 200):
         assert classify_element(word) == conjugacy_oracle(word)
+
+
+def test_long_edge_power_reduces_and_classifies():
+    word = parse_word("L:z^100000 R:g2", rank=4)
+    assert format_word(britton_reduce(word)) == "R:g1^100000g2"
+    assert classify_element(word) == PSEUDO_ANOSOV_TYPE
 
 
 # ---------------------------------------------------------------------------

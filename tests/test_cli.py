@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from lamkit.cli import main
+from lamkit.flat_surface import build_double_polygon, surface_to_json
 
 
 def run(capsys, *argv):
@@ -218,3 +221,46 @@ def test_report_small(capsys):
     assert len(lines) == 9  # 8 criteria + summary
     assert all(line.startswith("[PASS]") for line in lines[:-1])
     assert lines[-1].startswith("ALL PASS")
+
+
+
+def _bad_input_argv(probe, tmp_path, monkeypatch):
+    path = tmp_path / "input.json"
+    surface = json.loads(surface_to_json(build_double_polygon(2)))
+    cylinders = ["cylinders", "--in", str(path), "--dir", "vertical"]
+    if probe == "surface-without-polygons":
+        del surface["polygons"]
+        path.write_text(json.dumps(surface))
+        return cylinders
+    if probe == "gluing-index-out-of-range":
+        surface["gluings"][0] = [0, 9, 1, 0]
+        path.write_text(json.dumps(surface))
+        return cylinders
+    if probe == "missing-in-file":
+        return cylinders
+    if probe == "bvec-not-a-number":
+        return ["witness", "--genus", "2", "--bvec", "1,abc"]
+    if probe == "precision-env-not-a-number":
+        monkeypatch.setenv("LAMKIT_PRECISION", "abc")
+        return ["build", "--genus", "2"]
+    assert probe == "weights-without-components"
+    path.write_text(json.dumps({"rest": []}))
+    return ["twist-limit", "--weights", str(path)]
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        "surface-without-polygons",
+        "gluing-index-out-of-range",
+        "missing-in-file",
+        "bvec-not-a-number",
+        "precision-env-not-a-number",
+        "weights-without-components",
+    ],
+)
+def test_bad_input_is_a_one_line_usage_error(probe, tmp_path, capsys, monkeypatch):
+    code, out, err = run(capsys, *_bad_input_argv(probe, tmp_path, monkeypatch))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -15,7 +15,7 @@ import json
 import mpmath
 import pytest
 
-from lamkit.errors import InvalidSurfaceError, ParameterError
+from lamkit.errors import DecompositionError, InvalidSurfaceError, ParameterError
 from lamkit.flat_surface import (
     HORIZONTAL,
     VERTICAL,
@@ -90,6 +90,28 @@ def test_decomposition_counts_and_tiling(surface, g, direction):
         mods = [c.modulus for c in cyls]
         assert (max(mods) - min(mods)) / mods[0] < mpmath.mpf("1e-12")
         assert all(c.height > 0 and c.circumference > 0 for c in cyls)
+
+
+@pytest.mark.parametrize("g", range(2, 17))
+def test_strip_counts(surface, g):
+    # genus g: 2g horizontal and 2g(g+1) vertical strips
+    strips = {
+        d: sum(len(c.strips) for c in cylinder_decomposition(surface(g), d))
+        for d in (HORIZONTAL, VERTICAL)
+    }
+    assert strips == {HORIZONTAL: 2 * g, VERTICAL: 2 * g * (g + 1)}
+
+
+def test_rotated_surface_is_valid_but_not_periodic_in_either_direction(surface):
+    s = surface(2)
+    with mpmath.workprec(s.precision):
+        c, t = mpmath.cos(mpmath.mpf("0.1")), mpmath.sin(mpmath.mpf("0.1"))
+        polygons = tuple(tuple((c * x - t * y, t * x + c * y) for x, y in p) for p in s.polygons)
+    rotated = TranslationSurface(s.genus, polygons, s.gluings, s.precision)
+    assert validate(rotated)
+    for direction in (HORIZONTAL, VERTICAL):
+        with pytest.raises(DecompositionError, match="not completely periodic"):
+            cylinder_decomposition(rotated, direction)
 
 
 @pytest.mark.parametrize("g", range(2, 7))

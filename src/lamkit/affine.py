@@ -22,13 +22,17 @@ from .errors import InvalidMatrixError, NotParabolicError, ParameterError
 from .flat_surface import HORIZONTAL, VERTICAL, cylinder_decomposition
 from .precision import DEFAULT_TOLERANCE, value_precision
 
-DET_TOLERANCE = 1e-12
 TRACE_TOLERANCE = 1e-9
+
+
+def _dot(x, y, u, v):
+    """x*y + u*v without rounding (an mpf is a dyadic rational), so det = 1 stays exact."""
+    return mpmath.fadd(mpmath.fmul(x, y, exact=True), mpmath.fmul(u, v, exact=True), exact=True)
 
 
 @dataclass(frozen=True)
 class Mat2:
-    """A 2x2 real matrix with unit determinant (checked where it matters)."""
+    """A 2x2 real matrix of int or mpf entries whose arithmetic never rounds."""
 
     a: object
     b: object
@@ -36,38 +40,33 @@ class Mat2:
     d: object
 
     def trace(self):
-        with mpmath.workprec(value_precision(self.a, self.d)):
-            return self.a + self.d
+        return mpmath.fadd(self.a, self.d, exact=True)
 
     def det(self):
-        with mpmath.workprec(value_precision(self.a, self.b, self.c, self.d)):
-            return self.a * self.d - self.b * self.c
+        return _dot(self.a, self.d, mpmath.fneg(self.b, exact=True), self.c)
 
     def __mul__(self, other):
-        entries = (self.a, self.b, self.c, self.d, other.a, other.b, other.c, other.d)
-        with mpmath.workprec(value_precision(*entries)):
-            return Mat2(
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
-            )
+        return Mat2(
+            _dot(self.a, other.a, self.b, other.c),
+            _dot(self.a, other.b, self.b, other.d),
+            _dot(self.c, other.a, self.d, other.c),
+            _dot(self.c, other.b, self.d, other.d),
+        )
 
     def inverse(self):
         # valid for det = 1
-        with mpmath.workprec(value_precision(self.a, self.b, self.c, self.d)):
-            return Mat2(self.d, -self.b, -self.c, self.a)
+        return Mat2(self.d, mpmath.fneg(self.b, exact=True), mpmath.fneg(self.c, exact=True), self.a)
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = identity_matrix()
-        base = self
+        result, base = identity_matrix(), self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def rows(self):
@@ -81,13 +80,14 @@ def identity_matrix():
 def classify(m):
     """Classify a unit-determinant matrix as identity/parabolic/elliptic/hyperbolic.
 
-    Plus or minus the identity is reported as ``identity`` (central).  The
-    trace comparison against 2 uses TRACE_TOLERANCE; the determinant check
-    uses the stricter DET_TOLERANCE.
+    Plus or minus the identity is reported as ``identity`` (central).  The det
+    must be exactly 1; comparisons with +-1 and +-2 allow TRACE_TOLERANCE, as
+    the group's relations hold only approximately for the rounded shears.
     """
-    det = m.det()
-    if abs(det - 1) > DET_TOLERANCE * max(1, abs(det)):
-        raise InvalidMatrixError(f"matrix determinant {det} is not 1")
+    # ad = bc + 1 exactly; forming ad - bc would make mpmath strip its ~all-zero
+    # mantissa 8 bits at a time, quadratic in the entries' width
+    if mpmath.fmul(m.a, m.d, exact=True) != _dot(m.b, m.c, 1, 1):
+        raise InvalidMatrixError(f"matrix determinant {m.det()} is not 1")
     for sign in (1, -1):
         if (
             abs(m.a - sign) <= TRACE_TOLERANCE
@@ -211,15 +211,16 @@ def evaluate_word(text, surface):
     gens = generators(surface)
     cleaned = text.replace("*", " ")
     pos = 0
-    element = AffineElement((), identity_matrix())
+    tokens, derivative = [], identity_matrix()
     for match in _WORD_TOKEN.finditer(cleaned):
         if cleaned[pos : match.start()].strip():
             raise ParameterError(f"unparsable word fragment {cleaned[pos:match.start()]!r}")
         sym = match.group(1)
         sym = "sigma" if sym.lower() in ("sigma", "s") else sym.upper()
         k = int(match.group(2)) if match.group(2) else 1
-        element = element * (gens[sym] ** k)
+        tokens.append((sym, k))
+        derivative = derivative * gens[sym].derivative ** k
         pos = match.end()
     if cleaned[pos:].strip():
         raise ParameterError(f"unparsable word fragment {cleaned[pos:]!r}")
-    return element
+    return AffineElement(_merge_tokens(tokens), derivative)

@@ -32,12 +32,12 @@ from .precision import (
     mpf_str,
     parse_mpf,
     resolve_precision,
-    value_precision,
 )
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 DISTINGUISHED_DIRECTIONS = (HORIZONTAL, VERTICAL)
+_DECOMPOSITION_CACHE_SIZE = 64  # (surface, direction) pairs; least recently used go first
 
 # Relative position of the marked core leaf inside a cylinder.  The two
 # directions use different offsets so that core crossings never land on a
@@ -93,8 +93,7 @@ class Cylinder:
 
     @property
     def modulus(self):
-        with mpmath.workprec(value_precision(self.height, self.circumference)):
-            return self.height / self.circumference
+        return self.height / self.circumference
 
 
 @dataclass(frozen=True)
@@ -423,7 +422,7 @@ def cylinder_decomposition(surface, direction):
     return _decomposition_cached(surface, direction)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DECOMPOSITION_CACHE_SIZE)
 def _decomposition_cached(surface, direction):
     with mpmath.workprec(surface.precision):
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))

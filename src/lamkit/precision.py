@@ -3,10 +3,10 @@
 All planar geometry is carried out with mpmath arbitrary-precision reals.
 Vertex coordinates involve cos/sin of pi/(2g+1), so no fixed machine format
 is exact; instead every constructor records the binary precision it was
-built at and every geometric operation re-enters that precision.
+built at and every geometric operation re-enters that precision.  Twist-word
+derivatives (``affine.Mat2``) never round: every mpf is a dyadic rational.
 
-The default is 128 bits and can be overridden globally with the
-LAMKIT_PRECISION environment variable (in bits) or per call site.
+The default is 128 bits, overridable with LAMKIT_PRECISION (bits) or per call.
 """
 
 import math

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lamkit.flat_surface import build_double_polygon
@@ -20,3 +22,11 @@ def surface():
         return _CACHE[key]
 
     return get
+
+
+@pytest.fixture
+def mixed_word():
+    """README's 50 alternating ``TA^k TB^k`` tokens, 1 <= |k| <= 50, seeded."""
+    rng = random.Random(0)
+    tokens = (f"{sym}^{rng.choice((-1, 1)) * rng.randint(1, 50)}" for sym in ("TA", "TB") * 25)
+    return " ".join(tokens)

@@ -2,6 +2,7 @@
 
 import itertools
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 import pytest
 
@@ -15,7 +16,13 @@ from lamkit.affine import (
     twist_derivative,
 )
 from lamkit.errors import InvalidMatrixError, NotParabolicError, ParameterError
-from lamkit.flat_surface import Cylinder, HORIZONTAL, VERTICAL, cylinder_decomposition
+from lamkit.flat_surface import (
+    Cylinder,
+    HORIZONTAL,
+    VERTICAL,
+    build_double_polygon,
+    cylinder_decomposition,
+)
 
 
 def test_horizontal_shear_closed_form(surface):
@@ -115,18 +122,45 @@ def test_sigma_is_central_minus_identity(surface):
 
 
 def test_derivative_is_multiplicative_on_words(surface):
-    # exhaustive over all split products of total length up to 4
-    s = surface(2)
+    # exhaustive over all split products of total length up to 4; exact since
+    # Mat2 never rounds
     alphabet = ["TA", "TA^-1", "TB", "TB^-1", "sigma"]
     words = [" ".join(p) for n in (1, 2) for p in itertools.product(alphabet, repeat=n)]
-    cache = {w: evaluate_word(w, s).derivative for w in words}
-    with mpmath.workprec(s.precision):
+    for g in (2, 5, 8):
+        s = surface(g)
+        cache = {w: evaluate_word(w, s).derivative for w in words}
         for w1 in words:
             for w2 in words:
                 combined = evaluate_word(f"{w1} {w2}", s).derivative
-                split = cache[w1] * cache[w2]
-                for x, y in zip(sum(combined.rows(), ()), sum(split.rows(), ())):
-                    assert abs(x - y) <= mpmath.mpf("1e-28") * max(1, abs(y))
+                assert combined.rows() == (cache[w1] * cache[w2]).rows(), (g, w1, w2)
+
+
+def test_long_mixed_word_is_exact(surface, mixed_word):
+    # the entries reach 2^566; det = 1 must hold however fast they grow, and a
+    # conjugate of TA must keep trace 2 although its entries cancel 2^1100-fold
+    s = surface(8)
+    u = evaluate_word(mixed_word, s)
+    assert u.derivative.det() == 1
+    assert classify(u.derivative) == "hyperbolic"
+    conjugate = (u * generators(s)["TA"] * u.inverse()).derivative
+    assert conjugate.trace() == 2
+    assert classify(conjugate) == "parabolic"
+
+
+_SURFACES = {g: build_double_polygon(g, precision=128) for g in (2, 3, 5)}
+_TOKENS = st.tuples(st.sampled_from(("TA", "TB", "sigma")), st.integers(-50, 50))
+_WORDS = st.lists(_TOKENS, max_size=30).map(lambda ts: " ".join(f"{sym}^{k}" for sym, k in ts))
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@_PROPERTY
+@given(st.sampled_from(sorted(_SURFACES)), _WORDS, _WORDS)
+def test_twist_words_are_exact(g, w1, w2):
+    s = _SURFACES[g]
+    first, second = evaluate_word(w1, s).derivative, evaluate_word(w2, s).derivative
+    assert first.det() == 1
+    assert evaluate_word(f"{w1} {w2}", s).derivative.rows() == (first * second).rows()
+    assert (second * first * second.inverse()).trace() == first.trace()
 
 
 def test_word_parsing_errors(surface):

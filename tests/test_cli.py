@@ -75,6 +75,20 @@ def test_affine_word_evaluation(capsys):
     assert float(doc["trace"]) == -2.0
 
 
+def test_affine_long_mixed_word_exits_zero(capsys, mixed_word):
+    code, out, err = run(capsys, "affine", "--genus", "8", "--word", mixed_word, "--precision", "128")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["classification"] == "hyperbolic"
+
+
+def test_affine_trace_of_a_conjugate_is_exact(capsys):
+    # a conjugate of TB^-1 sigma: its trace is exactly -2, after cancelling 15-digit entries
+    word = "TB^-1 TA^-1 TB^-1 TA^-1 TB^-1 TA sigma TB TA TB"
+    code, out, _ = run(capsys, "affine", "--genus", "6", "--word", word, "--precision", "128")
+    assert code == 0
+    assert '"trace":"-2.0"' in out
+
+
 def test_chain_json_and_csv(capsys):
     code, out, _ = run(capsys, "chain", "--genus", "2", "--json")
     assert code == 0

@@ -20,6 +20,7 @@ from lamkit.flat_surface import (
     HORIZONTAL,
     VERTICAL,
     TranslationSurface,
+    _decomposition_cached,
     area,
     build_double_polygon,
     cone_angles,
@@ -217,6 +218,14 @@ def test_json_roundtrip_is_exact(surface, bits):
     # at these precisions mpmath's dps + 2 digits are one too few to read back
     s = surface(2, precision=bits)
     assert surface_from_json(surface_to_json(s)) == s
+
+
+def test_decomposition_cache_is_bounded():
+    maxsize = _decomposition_cached.cache_info().maxsize
+    assert maxsize is not None
+    for bits in range(64, 64 + maxsize + 2):
+        cylinder_decomposition(build_double_polygon(2, precision=bits), HORIZONTAL)
+    assert _decomposition_cached.cache_info().currsize <= maxsize
 
 
 def test_custom_precision_is_recorded_and_used():

@@ -23,10 +23,15 @@ hold, and are enforced by the test suite, are
     M^T h = vertical circumferences,   M w = horizontal circumferences,
 
 where h and w are the horizontal/vertical height vectors.
+
+A segment endpoint within the crossing margin of a core of the other
+direction raises DecompositionError.  That margin pass tests each endpoint
+against its two bisect neighbours among the sorted core levels of its
+polygon; then four strict comparisons decide each crossing.
 """
 
+import bisect
 from dataclasses import dataclass
-from itertools import permutations
 
 import mpmath
 
@@ -116,27 +121,36 @@ def chain_intersection_matrix(g):
     )
 
 
-def _count_crossings(horizontal_cyl, vertical_cyl, margin):
-    count = 0
-    for sh in horizontal_cyl.core_segments:  # level = y, span = x
-        for sv in vertical_cyl.core_segments:  # level = x, span = y
-            if sh.polygon != sv.polygon:
-                continue
-            inside_x = sh.lo < sv.level < sh.hi
-            inside_y = sv.lo < sh.level < sv.hi
-            gap = min(
-                abs(sv.level - sh.lo),
-                abs(sh.hi - sv.level),
-                abs(sh.level - sv.lo),
-                abs(sv.hi - sh.level),
-            )
-            if gap < margin:
-                raise DecompositionError(
-                    "core curves meet a segment endpoint: degenerate crossing"
-                )
-            if inside_x and inside_y:
-                count += 1
-    return count
+def _by_polygon(cylinders):
+    groups = {}
+    for i, c in enumerate(cylinders):
+        for s in c.core_segments:
+            groups.setdefault(s.polygon, []).append((i, s))
+    return groups
+
+
+def _near_a_level(levels, value, margin):
+    """Whether a level of the sorted list lies within ``margin`` of ``value``.
+    Rounded subtraction is monotone, so the two bisect neighbours decide."""
+    i = bisect.bisect_left(levels, value)
+    return any(abs(levels[j] - value) < margin for j in (i - 1, i) if 0 <= j < len(levels))
+
+
+def _crossing_matrix(horizontal, vertical, margin):
+    """Crossing counts of every horizontal core with every vertical core; only
+    segments in one polygon can cross."""
+    hs, vs = _by_polygon(horizontal), _by_polygon(vertical)
+    counts = [[0] * len(vertical) for _ in horizontal]
+    for p in hs.keys() & vs.keys():
+        for near, far in ((hs[p], vs[p]), (vs[p], hs[p])):
+            levels = sorted(s.level for _, s in far)
+            if any(_near_a_level(levels, end, margin) for _, s in near for end in (s.lo, s.hi)):
+                raise DecompositionError("core curves meet a segment endpoint: degenerate crossing")
+        for i, sh in hs[p]:
+            for j, sv in vs[p]:
+                if sh.lo < sv.level < sh.hi and sv.lo < sh.level < sv.hi:
+                    counts[i][j] += 1
+    return tuple(map(tuple, counts))
 
 
 def derive_intersection_matrix(surface):
@@ -150,9 +164,7 @@ def derive_intersection_matrix(surface):
         hs = cylinder_decomposition(surface, HORIZONTAL)
         vs = cylinder_decomposition(surface, VERTICAL)
         margin = mpmath.mpf(_CROSSING_MARGIN) * max(1, _diameter(surface))
-        return tuple(
-            tuple(_count_crossings(h, v, margin) for v in vs) for h in hs
-        )
+        return _crossing_matrix(hs, vs, margin)
 
 
 def intersection_system(surface):
@@ -215,13 +227,24 @@ def matches_chain_pattern(matrix):
     the chain system's A x B block after relabeling, else None.  Exists to
     make the relation between the geometric counts and the combinatorial
     chain checkable; for the double regular-polygon family it returns None.
+
+    The chain block is the bipartite path a_1, b_g, a_2, ..., a_g, b_1, and a
+    path has no side-preserving symmetry, so the relabeling is unique: walk
+    the nonzero entries from the row with one of them and check the result.
     """
     g = len(matrix)
     chain = chain_intersection_matrix(g).ab_block()
-    for pr in permutations(range(g)):
-        for pc in permutations(range(g)):
-            if all(
-                matrix[pr[i]][pc[j]] == chain[i][j] for i in range(g) for j in range(g)
-            ):
-                return pr, pc
+    graph = {(0, i): [(1, j) for j in range(g) if matrix[i][j] != 0] for i in range(g)}
+    graph.update({(1, j): [(0, i) for i in range(g) if matrix[i][j] != 0] for j in range(g)})
+    path = [node for node in graph if node[0] == 0 and len(graph[node]) == 1][:1]
+    while path and len(path) < 2 * g:
+        step = [node for node in graph[path[-1]] if node not in path[-2:-1]]
+        if len(step) != 1:
+            return None
+        path.append(step[0])
+    pr, pc = tuple(i for _, i in path[::2]), tuple(j for _, j in reversed(path[1::2]))
+    if len(path) == 2 * g and all(
+        matrix[pr[i]][pc[j]] == chain[i][j] for i in range(g) for j in range(g)
+    ):
+        return pr, pc
     return None

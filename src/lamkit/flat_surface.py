@@ -15,12 +15,17 @@ exactly the closure of the vertex levels under transport across glued edges.
 Consecutive critical levels bound trapezoidal strips; the first-return map
 of the straight-line flow permutes the strips, and its orbits are the
 cylinders.
+
+``validate`` guarantees strictly convex polygons, so each polygon's edges form
+two monotone chains (level rising, level falling), a level meets at most one
+edge of each, and a chord's edges are found by one bisect per chain.
 """
 
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, takewhile
 import json
 
 import mpmath
@@ -317,23 +322,34 @@ def _along_on_edge(surface, p, e, level, direction):
     return _along(a, direction) + t * (_along(b, direction) - _along(a, direction))
 
 
-def _edge_table(surface, direction):
-    """Per polygon, one row ``(lo, hi, q, f, shift)`` per edge: its level span, the
-    edge glued to it and the level shift of the gluing (end of e to start of f)."""
+def _edge_table(surface, direction, slack):
+    """Per polygon, one row ``(q, shift)`` per edge: the polygon glued to it and
+    the level shift of the gluing (end of the edge to start of its partner);
+    and the polygon's rising and falling chains (see :func:`_crossing_edges`)."""
     partner = {}
     for one, other in surface.gluings:
         partner[one], partner[other] = other, one
-    table = []
+    table, chains = [], []
     for p, poly in enumerate(surface.polygons):
-        rows = []
+        rows, spans = [], ([], [])
         for e in range(len(poly)):
             a, b = surface.edge(p, e)
             la, lb = _level(a, direction), _level(b, direction)
             q, f = partner[(p, e)]
-            shift = _level(surface.edge(q, f)[0], direction) - lb
-            rows.append(((la, lb) if la <= lb else (lb, la)) + (q, f, shift))
+            rows.append((q, _level(surface.edge(q, f)[0], direction) - lb))
+            if la != lb:
+                spans[la > lb].append((min(la, lb), max(la, lb), e))
         table.append(rows)
-    return table
+        chains.append([_chain(p, sorted(side), slack) for side in spans])
+    return table, chains
+
+
+def _chain(p, spans, slack):
+    if any(hi > lo for (_, hi, _), (lo, _, _) in zip(spans, spans[1:])):
+        raise DecompositionError(
+            f"level chords of polygon {p} cross more than two edges (is the polygon convex?)"
+        )
+    return [s[0] + slack for s in spans], [s[1] - slack for s in spans], [s[2] for s in spans]
 
 
 def _find_level(levels, value, slack):
@@ -346,7 +362,7 @@ def _find_level(levels, value, slack):
     return None
 
 
-def _critical_levels(surface, direction, table, slack, cap):
+def _critical_levels(surface, direction, table, chains, slack, cap):
     """Vertex levels of each polygon, closed under transport across gluings.
 
     A critical level with its chord endpoint in the interior of an edge
@@ -370,8 +386,8 @@ def _critical_levels(surface, direction, table, slack, cap):
             insert(p, _level(v, direction))
     while queue:
         p, lv = queue.pop()
-        for e in _crossing_edges(table[p], lv, slack):
-            _, _, q, _, shift = table[p][e]
+        for e in _crossing_edges(chains[p], lv):
+            q, shift = table[p][e]
             if insert(q, lv + shift) and sum(len(ls) for ls in levels) > cap:
                 raise DecompositionError(
                     f"{direction} direction is not completely periodic "
@@ -380,25 +396,37 @@ def _critical_levels(surface, direction, table, slack, cap):
     return levels
 
 
-def _crossing_edges(rows, level, slack):
-    """Edges, in index order, whose span contains ``level`` with ``slack`` to spare."""
-    return [e for e, (lo, hi, *_) in enumerate(rows) if lo + slack < level < hi - slack]
+def _crossing_edges(chains, level):
+    """Edges, in index order, whose span holds ``level`` with slack to spare.
+
+    A chain is three lists over the edges whose level rises (or falls), sorted
+    by span: ``lo + slack``, ``hi - slack`` and the edge index.  Its spans do
+    not overlap, so only the last edge starting below ``level`` can hold it."""
+    found = []
+    for starts, ends, edges in chains:
+        k = bisect.bisect_left(starts, level) - 1
+        if k >= 0 and level < ends[k]:
+            found.append(edges[k])
+    return sorted(found)
 
 
-def _build_strips(surface, direction, table, levels, slack):
+def _build_strips(direction, chains, levels):
     """One strip per pair of consecutive levels, between the two edges that cross
-    its mid-level (``edge_lo`` has the smaller along coordinate)."""
+    its mid-level.  ``edge_lo`` has the smaller along coordinate: in a
+    counterclockwise polygon that is the falling edge of a horizontal strip and
+    the rising edge of a vertical one."""
     strips = []
     for p, ls in enumerate(levels):
+        rising = set(chains[p][0][2])  # the edge indices of the rising chain
         for la, lb in zip(ls, ls[1:]):
-            mid = (la + lb) / 2
-            edges = _crossing_edges(table[p], mid, slack)
+            edges = _crossing_edges(chains[p], (la + lb) / 2)
             if len(edges) != 2:
                 raise DecompositionError(
                     f"level chord of polygon {p} crossed {len(edges)} edges; "
                     f"expected 2 (is the polygon convex?)"
                 )
-            edges.sort(key=lambda e: _along_on_edge(surface, p, e, mid, direction))
+            if (edges[0] in rising) == (direction == HORIZONTAL):
+                edges.reverse()
             strips.append(Strip(p, la, lb, *edges))
     return strips
 
@@ -428,9 +456,9 @@ def _decomposition_cached(surface, direction):
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
         n_edges = sum(len(p) for p in surface.polygons)
         cap = 64 * n_edges + 256
-        table = _edge_table(surface, direction)
-        levels = _critical_levels(surface, direction, table, slack, cap)
-        strips = _build_strips(surface, direction, table, levels, slack)
+        table, chains = _edge_table(surface, direction, slack)
+        levels = _critical_levels(surface, direction, table, chains, slack, cap)
+        strips = _build_strips(direction, chains, levels)
 
         # first-return map on strips: exit through the high-along edge.  The
         # strips of polygon q are its consecutive level pairs, from first[q] on.
@@ -439,7 +467,7 @@ def _decomposition_cached(surface, direction):
             first.append(first[-1] + len(ls) - 1)
         next_strip = []
         for s in strips:
-            _, _, q, _, shift = table[s.polygon][s.edge_hi]
+            q, shift = table[s.polygon][s.edge_hi]
             j = _find_level(levels[q], s.level_lo + shift, slack)
             if j is None or j == len(levels[q]) - 1:
                 raise DecompositionError(
@@ -487,32 +515,15 @@ def _decomposition_cached(surface, direction):
                 )
             if abs(cyl_area - circumference * height) > slack * max(1, abs(cyl_area)) * 64:
                 raise DecompositionError("cylinder area does not match c * h (tracing bug)")
-            cylinders.append(
-                {
-                    "height": height,
-                    "circumference": circumference,
-                    "strips": tuple(members),
-                    "cores": tuple(core_segments),
-                }
-            )
+            cylinders.append((circumference, height, tuple(members), tuple(core_segments)))
 
         def sort_key(cyl):
-            base = [seg.level for seg in cyl["cores"] if seg.polygon == 0]
-            return min(base) if base else min(seg.level for seg in cyl["cores"])
+            base = [seg.level for seg in cyl[3] if seg.polygon == 0]
+            return min(base) if base else min(seg.level for seg in cyl[3])
 
         cylinders.sort(key=sort_key)
         prefix = "a" if direction == HORIZONTAL else "b"
-        return tuple(
-            Cylinder(
-                direction=direction,
-                label=f"{prefix}{i + 1}",
-                circumference=c["circumference"],
-                height=c["height"],
-                strips=c["strips"],
-                core_segments=c["cores"],
-            )
-            for i, c in enumerate(cylinders)
-        )
+        return tuple(Cylinder(direction, f"{prefix}{i + 1}", *c) for i, c in enumerate(cylinders))
 
 
 # ---------------------------------------------------------------------------
@@ -574,21 +585,25 @@ def hyperelliptic_symmetry(surface):
         for direction in DISTINGUISHED_DIRECTIONS:
             center_level = cx if direction == VERTICAL else cy
             for cyl in cylinder_decomposition(surface, direction):
-                strip_keys = [(s.polygon, s.level_lo, s.level_hi) for s in cyl.strips]
+                keys = sorted((s.level_lo, s.level_hi, s.polygon) for s in cyl.strips)
                 for s in cyl.strips:
-                    img = (
-                        poly_image[s.polygon],
-                        2 * center_level - s.level_hi,
-                        2 * center_level - s.level_lo,
-                    )
-                    if not any(
-                        img[0] == k[0]
-                        and abs(img[1] - k[1]) <= slack
-                        and abs(img[2] - k[2]) <= slack
-                        for k in strip_keys
-                    ):
+                    lo, hi = 2 * center_level - s.level_hi, 2 * center_level - s.level_lo
+                    if not _has_strip(keys, lo, hi, poly_image[s.polygon], slack):
                         return False
         return True
+
+
+def _has_strip(keys, lo, hi, polygon, slack):
+    """Whether a ``(level_lo, level_hi, polygon)`` key, sorted by ``level_lo``,
+    matches within ``slack`` on both levels.  Rounded subtraction is monotone,
+    so the keys with a close ``level_lo`` form one run around the bisect point."""
+    i = bisect.bisect_left(keys, lo, key=lambda k: k[0])
+
+    def close(k):
+        return abs(lo - k[0]) <= slack
+
+    run = chain(takewhile(close, keys[i:]), takewhile(close, reversed(keys[:i])))
+    return any(k[2] == polygon and abs(hi - k[1]) <= slack for k in run)
 
 
 # ---------------------------------------------------------------------------

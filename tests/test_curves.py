@@ -8,21 +8,34 @@ reproduces the horizontal circumferences.
 """
 
 from fractions import Fraction
+from itertools import permutations
 import random
+import re
 
 import mpmath
 import pytest
 
 from lamkit.curves import (
+    _CROSSING_MARGIN,
     WeightedMulticurve,
+    _crossing_matrix,
     chain_intersection_matrix,
     derive_intersection_matrix,
     intersection_system,
     matches_chain_pattern,
     pair,
 )
-from lamkit.errors import HypothesisError, ParameterError
-from lamkit.flat_surface import HORIZONTAL, VERTICAL, area, cylinder_decomposition
+from lamkit.errors import DecompositionError, HypothesisError, ParameterError
+from lamkit.flat_surface import (
+    HORIZONTAL,
+    VERTICAL,
+    CoreSegment,
+    Cylinder,
+    _diameter,
+    area,
+    build_double_polygon,
+    cylinder_decomposition,
+)
 
 
 def test_chain_genus2_structure():
@@ -102,6 +115,88 @@ def test_area_identity_via_pairing(surface, g):
         assert abs(pair(v, u, system) - total) == 0  # symmetric in its arguments
 
 
+def _all_pairs_matrix(horizontal, vertical, margin):
+    """Reference: every pair of core segments, with the endpoint gap check on
+    each pair of one polygon."""
+
+    def count(hc, vc):
+        n = 0
+        for sh in hc.core_segments:
+            for sv in vc.core_segments:
+                if sh.polygon != sv.polygon:
+                    continue
+                gap = min(
+                    abs(sv.level - sh.lo),
+                    abs(sh.hi - sv.level),
+                    abs(sh.level - sv.lo),
+                    abs(sv.hi - sh.level),
+                )
+                if gap < margin:
+                    raise DecompositionError(
+                        "core curves meet a segment endpoint: degenerate crossing"
+                    )
+                n += sh.lo < sv.level < sh.hi and sv.lo < sh.level < sv.hi
+        return n
+
+    return tuple(tuple(count(h, v) for v in vertical) for h in horizontal)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+def test_crossing_count_matches_all_pairs_reference(bits):
+    for g in range(2, 13):
+        s = build_double_polygon(g, precision=bits)
+        hs, vs = cylinder_decomposition(s, HORIZONTAL), cylinder_decomposition(s, VERTICAL)
+        with mpmath.workprec(bits):
+            margin = mpmath.mpf(_CROSSING_MARGIN) * max(1, _diameter(s))
+            expected = _all_pairs_matrix(hs, vs, margin)
+        assert derive_intersection_matrix(s) == expected
+
+
+def _synthetic_cores(rng, direction, count, polygons=2):
+    cylinders = []
+    for k in range(count):
+        segments = []
+        for _ in range(rng.randint(1, 3)):
+            lo, hi = sorted(mpmath.mpf(rng.random()) for _ in range(2))
+            segments.append(CoreSegment(rng.randrange(polygons), mpmath.mpf(rng.random()), lo, hi))
+        cylinders.append(Cylinder(direction, f"c{k}", 1, 1, (), tuple(segments)))
+    return cylinders
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_crossing_margin_pass_matches_all_pairs_reference(bits):
+    # one endpoint per trial is moved to margin/2, margin or 2 margin from a
+    # core level of the other direction; both counts must raise alike
+    rng = random.Random(20 + bits)
+    raised = 0
+    with mpmath.workprec(bits):
+        margin = mpmath.mpf(_CROSSING_MARGIN)
+        for trial in range(400):
+            hs = _synthetic_cores(rng, HORIZONTAL, rng.randint(1, 4))
+            vs = _synthetic_cores(rng, VERTICAL, rng.randint(1, 4))
+            moved, other = (hs, vs) if trial % 2 else (vs, hs)
+            c = rng.randrange(len(moved))
+            segments = list(moved[c].core_segments)
+            i = rng.randrange(len(segments))
+            target = rng.choice([seg for cyl in other for seg in cyl.core_segments])
+            end = target.level + rng.choice((-1, 1)) * margin * rng.choice((0.5, 1, 2))
+            field = rng.choice(("lo", "hi"))
+            seg = segments[i]
+            segments[i] = CoreSegment(
+                target.polygon, seg.level, *((end, seg.hi) if field == "lo" else (seg.lo, end))
+            )
+            moved[c] = Cylinder(moved[c].direction, moved[c].label, 1, 1, (), tuple(segments))
+            try:
+                expected = _all_pairs_matrix(hs, vs, margin)
+            except DecompositionError as exc:
+                with pytest.raises(DecompositionError, match=re.escape(str(exc))):
+                    _crossing_matrix(hs, vs, margin)
+                raised += 1
+            else:
+                assert _crossing_matrix(hs, vs, margin) == expected
+    assert 0 < raised < 400
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="spec defect: the horizontal/vertical cores of the regular "
@@ -156,3 +251,43 @@ def test_pair_side_and_zero_guards():
         WeightedMulticurve("B", (-1, 2))
     with pytest.raises(ParameterError):
         pair(u, WeightedMulticurve("B", (1, 1, 1)), cs)
+
+
+def _brute_force_chain_relabeling(matrix):
+    """Reference: try every pair of row and column permutations in order."""
+    g = len(matrix)
+    chain = chain_intersection_matrix(g).ab_block()
+    for pr in permutations(range(g)):
+        for pc in permutations(range(g)):
+            if all(matrix[pr[i]][pc[j]] == chain[i][j] for i in range(g) for j in range(g)):
+                return pr, pc
+    return None
+
+
+def _permuted_chain_block(rng, g):
+    block = chain_intersection_matrix(g).ab_block()
+    rows, cols = rng.sample(range(g), g), rng.sample(range(g), g)
+    return [[block[rows[i]][cols[j]] for j in range(g)] for i in range(g)]
+
+
+def test_chain_pattern_matches_brute_force_reference():
+    rng = random.Random(4)
+    for g in (2, 3, 4):
+        for trial in range(150):
+            m = _permuted_chain_block(rng, g)
+            if trial % 3 == 1:
+                m[rng.randrange(g)][rng.randrange(g)] = rng.choice((0, 1, 2))
+            elif trial % 3 == 2:
+                m = [[rng.choice((0, 0, 1)) for _ in range(g)] for _ in range(g)]
+            assert matches_chain_pattern(m) == _brute_force_chain_relabeling(m)
+
+
+def test_chain_pattern_genus8_permuted_block():
+    # (8!)^2 relabelings: the brute-force search would take about 40 minutes
+    g = 8
+    m = _permuted_chain_block(random.Random(8), g)
+    rows, cols = matches_chain_pattern(m)
+    chain = chain_intersection_matrix(g).ab_block()
+    assert sorted(rows) == sorted(cols) == list(range(g))
+    assert all(m[rows[i]][cols[j]] == chain[i][j] for i in range(g) for j in range(g))
+    assert matches_chain_pattern(((6, 4), (4, 2))) is None

@@ -20,7 +20,12 @@ from lamkit.flat_surface import (
     HORIZONTAL,
     VERTICAL,
     TranslationSurface,
+    _critical_levels,
+    _crossing_edges,
     _decomposition_cached,
+    _diameter,
+    _edge_table,
+    _level,
     area,
     build_double_polygon,
     cone_angles,
@@ -31,6 +36,7 @@ from lamkit.flat_surface import (
     validate,
     vertex_classes,
 )
+from lamkit.precision import merge_tolerance
 
 
 def test_build_rejects_small_genus():
@@ -113,6 +119,52 @@ def test_rotated_surface_is_valid_but_not_periodic_in_either_direction(surface):
     for direction in (HORIZONTAL, VERTICAL):
         with pytest.raises(DecompositionError, match="not completely periodic"):
             cylinder_decomposition(rotated, direction)
+
+
+def _linear_crossing_edges(surface, p, direction, level, slack):
+    """Reference: scan every edge of polygon p for a span that holds ``level``
+    with ``slack`` to spare, edge by edge."""
+    found = []
+    for e in range(len(surface.polygons[p])):
+        la, lb = (_level(v, direction) for v in surface.edge(p, e))
+        lo, hi = (la, lb) if la <= lb else (lb, la)
+        if lo + slack < level < hi - slack:
+            found.append(e)
+    return found
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+@pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
+def test_chain_lookup_matches_linear_scan(direction, bits):
+    # at every critical level, every strip mid-level, and at, inside and
+    # outside the slack around every vertex level
+    for g in range(2, 13):
+        s = build_double_polygon(g, precision=bits)
+        with mpmath.workprec(bits):
+            slack = merge_tolerance(bits) * max(1, _diameter(s))
+            table, chains = _edge_table(s, direction, slack)
+            levels = _critical_levels(s, direction, table, chains, slack, cap=10**6)
+            for p, ls in enumerate(levels):
+                probes = ls + [(a + b) / 2 for a, b in zip(ls, ls[1:])]
+                for v in s.polygons[p]:
+                    lv = _level(v, direction)
+                    probes += [lv + k * slack for k in (-2, -1, -0.5, 0.5, 1, 2)]
+                for level in probes:
+                    expected = _linear_crossing_edges(s, p, direction, level, slack)
+                    assert _crossing_edges(chains[p], level) == expected
+
+
+def test_non_monotone_polygon_is_refused(surface):
+    # lowering the top vertex of a pentagon below its neighbours leaves a notch,
+    # so a horizontal chord near the top crosses four edges
+    s = surface(2)
+    with mpmath.workprec(s.precision):
+        polys = [list(p) for p in s.polygons]
+        x, y = polys[0][3]
+        polys[0][3] = (x, y - 1)
+    notched = TranslationSurface(s.genus, tuple(map(tuple, polys)), s.gluings, s.precision)
+    with pytest.raises(DecompositionError, match="is the polygon convex"):
+        cylinder_decomposition(notched, HORIZONTAL)
 
 
 @pytest.mark.parametrize("g", range(2, 7))

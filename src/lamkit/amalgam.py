@@ -8,14 +8,21 @@ The amalgamated subgroup is the cyclic group generated by a configured word
 (by default generator 1 on each side; the edge generator must not be a
 proper power, which keeps powers of it unambiguous).
 
-``britton_reduce`` drops trivial syllables, merges same-factor neighbors,
-and rewrites any syllable that is a power of the edge generator into the
-other factor, where it merges with a neighbor.  Words with at least two
-syllables and no syllable in the edge subgroup cannot be shortened, so the
-reduced syllable count is an invariant of the group element; a cyclic
-version of the same procedure underlies the element classification.
+``britton_reduce`` pushes the syllables one at a time onto a stack that
+holds a reduced word (Britton's lemma; Lyndon-Schupp, *Combinatorial Group
+Theory*, IV.2).  A pushed syllable merges with a same-factor top; an edge
+power is rewritten into the other factor and merges with the top; a lone
+edge-power stack is rewritten into the pushed syllable's factor.  Each
+syllable is pushed and popped O(1) times, and reduction is a left fold:
+reducing u*v equals reducing (reduced u)*v.  A reduced word with at least
+two syllables has no syllable in the edge subgroup and cannot be shortened,
+so its syllable count is an invariant of the group element.  A lone edge
+power is written in the left factor.  ``classify_element`` reduces
+cyclically with the same rule, moving the first syllable onto the end while
+the two ends share a factor.
 """
 
+from collections import deque
 from dataclasses import dataclass
 import re
 
@@ -164,9 +171,6 @@ class EdgeWords:
     def word(self, factor):
         return self.left if factor == LEFT else self.right
 
-    def other(self, factor):
-        return RIGHT if factor == LEFT else LEFT
-
 
 @dataclass(frozen=True)
 class AmalgamWord:
@@ -188,59 +192,55 @@ def amalgam_word(parts, edge=None):
     return AmalgamWord(syllables=sylls, edge=edge)
 
 
-def _merge_pass(sylls):
-    """Drop trivial syllables and multiply same-factor neighbors."""
-    changed = False
-    out = []
-    for s in sylls:
-        if not s.letters:
-            changed = True
+def _push(stack, s, edge):
+    """Multiply the reduced word held by ``stack`` on the right by syllable s.
+
+    While s is nontrivial, each step does the first case that applies:
+    a same-factor top is popped into s; an edge power s is rewritten into
+    the top's factor and absorbs the popped top; a lone edge-power stack is
+    rewritten into s's factor and absorbed into s; otherwise s is appended.
+    The stack stays reduced, and each call appends at most once.
+    """
+    while s.letters:
+        top = stack[-1] if stack else None
+        if top is not None and top.factor == s.factor:
+            stack.pop()
+            s = Syllable(s.factor, free_mul(top.letters, s.letters))
             continue
-        if out and out[-1].factor == s.factor:
-            out[-1] = Syllable(s.factor, free_mul(out[-1].letters, s.letters))
-            changed = True
-        else:
-            out.append(s)
-    return out, changed
+        k = power_of_edge(s.letters, edge.word(s.factor)) if stack else None
+        if k is not None:
+            stack.pop()
+            s = Syllable(top.factor, free_mul(top.letters, free_pow(edge.word(top.factor), k)))
+            continue
+        k = power_of_edge(top.letters, edge.word(top.factor)) if len(stack) == 1 else None
+        if k is not None:
+            stack.pop()
+            s = Syllable(s.factor, free_mul(free_pow(edge.word(s.factor), k), s.letters))
+            continue
+        stack.append(s)
+        return
+
+
+def _pushed(word):
+    stack = deque()
+    for s in word.syllables:
+        _push(stack, s, word.edge)
+    return stack
 
 
 def britton_reduce(word):
-    """Rewrite to a form with no syllable in the edge subgroup (when length >= 2).
+    """The reduced word of the element: every syllable pushed by ``_push``.
 
-    Any syllable equal to a power of the edge generator is re-expressed in
-    the other factor and merged with a neighbor, strictly shortening the
-    word; the loop runs to a fixpoint.  A resulting single edge-power
-    syllable is canonically expressed in the left factor.
+    Pushing is a left fold, so ``britton_reduce(u * v)`` equals
+    ``britton_reduce(britton_reduce(u) * v)``.  A result of two or more
+    syllables alternates factors and has no edge-power syllable; a lone
+    edge-power syllable is canonically written in the left factor.
     """
     edge = word.edge
-    sylls = list(word.syllables)
-    while True:
-        sylls, changed = _merge_pass(sylls)
-        if len(sylls) >= 2:
-            for i, s in enumerate(sylls):
-                k = power_of_edge(s.letters, edge.word(s.factor))
-                if k is None:
-                    continue
-                other = edge.other(s.factor)
-                converted = free_pow(edge.word(other), k)
-                if i > 0:
-                    sylls[i - 1] = Syllable(
-                        sylls[i - 1].factor, free_mul(sylls[i - 1].letters, converted)
-                    )
-                else:
-                    sylls[1] = Syllable(
-                        sylls[1].factor, free_mul(converted, sylls[1].letters)
-                    )
-                del sylls[i]
-                changed = True
-                break
-        if not changed:
-            break
-    if len(sylls) == 1:
-        k = power_of_edge(sylls[0].letters, edge.word(sylls[0].factor))
-        if k == 0:
-            sylls = []
-        elif k is not None and sylls[0].factor == RIGHT:
+    sylls = list(_pushed(word))
+    if len(sylls) == 1 and sylls[0].factor == RIGHT:
+        k = power_of_edge(sylls[0].letters, edge.right)
+        if k is not None:
             sylls = [Syllable(LEFT, free_pow(edge.left, k))]
     return AmalgamWord(syllables=tuple(sylls), edge=edge)
 
@@ -266,26 +266,23 @@ PSEUDO_ANOSOV_TYPE = "pseudo_anosov_type"
 def classify_element(word):
     """Classify by conjugacy: identity, conjugate into the edge subgroup, or not.
 
-    The word is cyclically Britton-reduced.  A cyclic reduction of length at
+    The word is pushed as in ``britton_reduce``; then, while its two ends
+    share a factor, the first syllable is popped and pushed onto the end (a
+    conjugation that merges the ends).  A cyclic reduction of length at
     least two is not conjugate into either factor; a single syllable is
     conjugate into the edge subgroup exactly when its free cyclic core is a
     rotation of a power of the edge generator's core.  The last label is
     symbolic: for the groups this models, everything outside the edge
     conjugates is of pseudo-Anosov type.
     """
-    reduced = britton_reduce(word)
-    sylls = list(reduced.syllables)
-    while len(sylls) >= 2 and sylls[0].factor == sylls[-1].factor:
-        rotated = [
-            Syllable(sylls[0].factor, free_mul(sylls[-1].letters, sylls[0].letters))
-        ] + sylls[1:-1]
-        reduced = britton_reduce(AmalgamWord(tuple(rotated), word.edge))
-        sylls = list(reduced.syllables)
-    if not sylls:
+    stack = _pushed(word)
+    while len(stack) >= 2 and stack[0].factor == stack[-1].factor:
+        _push(stack, stack.popleft(), word.edge)
+    if not stack:
         return IDENTITY
-    if len(sylls) >= 2:
+    if len(stack) >= 2:
         return PSEUDO_ANOSOV_TYPE
-    s = sylls[0]
+    s = stack[0]
     if conjugate_power_of_edge(s.letters, word.edge.word(s.factor)):
         return EDGE_CONJUGATE
     return PSEUDO_ANOSOV_TYPE
@@ -302,11 +299,14 @@ def parse_word(text, rank, edge=None):
 
     Each whitespace-separated token is ``L:`` or ``R:`` followed by atoms
     ``g<i>`` (generator, 1-based, at most ``rank``) or ``z`` (the edge
-    generator of that factor), each with an optional integer exponent.
+    generator of that factor), each with an optional integer exponent.  A
+    token ``1`` is the identity, as ``format_word`` prints it.
     """
     edge = edge if edge is not None else EdgeWords()
     parts = []
     for token in text.split():
+        if token == "1":
+            continue
         if len(token) < 2 or token[1] != ":" or token[0] not in (LEFT, RIGHT):
             raise ParameterError(f"syllable {token!r} must look like L:... or R:...")
         factor, body = token[0], token[2:]

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -58,11 +59,7 @@ def _parse_number(token):
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return mpmath.mpf(token)
-    except ValueError:
-        raise ParameterError(f"{token!r} is not a number") from None
+        raise ParameterError(f"{token!r} is not a finite number") from None
 
 
 def _num_str(x):
@@ -217,8 +214,8 @@ def cmd_generic_check(args):
 
 
 def cmd_witness(args):
-    if args.tol <= 0:
-        raise ParameterError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise ParameterError(f"--tol must be positive and finite, got {args.tol}")
     surface = _load_surface(args)
     w = obstruction.vertical_heights(surface)
     v = tuple(_parse_number(tok) for tok in args.bvec.split(","))

@@ -225,6 +225,156 @@ def test_non_default_edge_word():
     assert reduced.syllables == (Syllable("R", (1, 2, 1, 2, 3)),)
 
 
+# The merge-pass fixpoint and the rotate-and-re-reduce classifier that the
+# push rule replaced, kept as the reference it must agree with.
+
+
+def _reference_merge_pass(sylls):
+    changed = False
+    out = []
+    for s in sylls:
+        if not s.letters:
+            changed = True
+            continue
+        if out and out[-1].factor == s.factor:
+            out[-1] = Syllable(s.factor, free_mul(out[-1].letters, s.letters))
+            changed = True
+        else:
+            out.append(s)
+    return out, changed
+
+
+def _reference_britton_reduce(word):
+    edge = word.edge
+    sylls = list(word.syllables)
+    while True:
+        sylls, changed = _reference_merge_pass(sylls)
+        if len(sylls) >= 2:
+            for i, s in enumerate(sylls):
+                k = power_of_edge(s.letters, edge.word(s.factor))
+                if k is None:
+                    continue
+                other = "R" if s.factor == "L" else "L"
+                converted = free_pow(edge.word(other), k)
+                if i > 0:
+                    sylls[i - 1] = Syllable(
+                        sylls[i - 1].factor, free_mul(sylls[i - 1].letters, converted)
+                    )
+                else:
+                    sylls[1] = Syllable(sylls[1].factor, free_mul(converted, sylls[1].letters))
+                del sylls[i]
+                changed = True
+                break
+        if not changed:
+            break
+    if len(sylls) == 1:
+        k = power_of_edge(sylls[0].letters, edge.word(sylls[0].factor))
+        if k == 0:
+            sylls = []
+        elif k is not None and sylls[0].factor == "R":
+            sylls = [Syllable("L", free_pow(edge.left, k))]
+    return AmalgamWord(syllables=tuple(sylls), edge=edge)
+
+
+def _reference_classify_element(word):
+    reduced = _reference_britton_reduce(word)
+    sylls = list(reduced.syllables)
+    while len(sylls) >= 2 and sylls[0].factor == sylls[-1].factor:
+        rotated = [
+            Syllable(sylls[0].factor, free_mul(sylls[-1].letters, sylls[0].letters))
+        ] + sylls[1:-1]
+        reduced = _reference_britton_reduce(AmalgamWord(tuple(rotated), word.edge))
+        sylls = list(reduced.syllables)
+    if not sylls:
+        return IDENTITY
+    if len(sylls) >= 2:
+        return PSEUDO_ANOSOV_TYPE
+    s = sylls[0]
+    if conjugate_power_of_edge(s.letters, word.edge.word(s.factor)):
+        return EDGE_CONJUGATE
+    return PSEUDO_ANOSOV_TYPE
+
+
+_EDGE_PAIRS = [((1,), (1,)), ((1, 2), (1, 2)), ((1, 2), (2,)), ((2, -1, 3), (1,))]
+_LETTERS = (1, -1, 2, -2, 3, -3)
+
+
+def _random_syllable_letters(rng, z):
+    """An edge power, an edge power with a few letters around it, or free letters."""
+    power = free_pow(z, rng.choice((-1, 1)) * rng.randint(1, 3))
+    roll = rng.random()
+    if roll < 0.3:
+        return power
+    if roll < 0.6:
+        before = free_reduce(rng.choice(_LETTERS) for _ in range(rng.randint(0, 2)))
+        after = free_reduce(rng.choice(_LETTERS) for _ in range(rng.randint(0, 2)))
+        return free_mul(before, power, after)
+    return free_reduce(rng.choice(_LETTERS) for _ in range(rng.randint(1, 4)))
+
+
+def _random_alternating_word(rng, edge):
+    """Alternating factors, every syllable nontrivial."""
+    factor, n = rng.choice("LR"), rng.randint(0, 8)
+    parts = []
+    while len(parts) < n:
+        letters = _random_syllable_letters(rng, edge.word(factor))
+        if letters:
+            parts.append((factor, letters))
+            factor = "R" if factor == "L" else "L"
+    return amalgam_word(parts, edge)
+
+
+def _random_messy_word(rng, edge):
+    """Factors drawn independently, so neighbours may share one; some syllables empty."""
+    parts = []
+    for _ in range(rng.randint(0, 8)):
+        factor = rng.choice("LR")
+        letters = () if rng.random() < 0.15 else _random_syllable_letters(rng, edge.word(factor))
+        parts.append((factor, letters))
+    return amalgam_word(parts, edge)
+
+
+@pytest.mark.parametrize("pair", _EDGE_PAIRS)
+def test_push_rule_matches_the_fixpoint_reference_on_alternating_words(pair):
+    edge = EdgeWords(*pair)
+    rng = random.Random(53)
+    collapsed = 0
+    for _ in range(2000):
+        word = _random_alternating_word(rng, edge)
+        reduced = britton_reduce(word)
+        assert reduced.syllables == _reference_britton_reduce(word).syllables
+        assert classify_element(word) == _reference_classify_element(word)
+        collapsed += reduced.syllable_length < word.syllable_length
+    assert collapsed > 200
+
+
+@pytest.mark.parametrize("pair", _EDGE_PAIRS)
+def test_push_rule_matches_the_fixpoint_reference_on_messy_words(pair):
+    # empty or same-factor neighbouring syllables: the reference's result
+    # depends on the order of its merge passes, so only invariants must agree
+    edge = EdgeWords(*pair)
+    rng = random.Random(59)
+    for _ in range(2000):
+        word = _random_messy_word(rng, edge)
+        reduced, expected = britton_reduce(word), _reference_britton_reduce(word)
+        assert is_britton_reduced(reduced)
+        assert reduced.syllable_length == expected.syllable_length
+        assert classify_element(word) == _reference_classify_element(word)
+        if pair == ((1,), (1,)):
+            assert normal_form(reduced) == normal_form(expected) == normal_form(word)
+
+
+@pytest.mark.parametrize("pair", _EDGE_PAIRS)
+def test_reduction_is_a_left_fold(pair):
+    edge = EdgeWords(*pair)
+    rng = random.Random(61)
+    for _ in range(2000):
+        u, v = _random_messy_word(rng, edge), _random_messy_word(rng, edge)
+        whole = AmalgamWord(u.syllables + v.syllables, edge)
+        folded = AmalgamWord(britton_reduce(u).syllables + v.syllables, edge)
+        assert britton_reduce(whole) == britton_reduce(folded)
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -275,6 +425,19 @@ def test_classification_matches_rotation_oracle_spotwise():
     universe = enumerate_words(max_syllables=3, rank=2, max_letters=2)
     for word in rng.sample(universe, 200):
         assert classify_element(word) == conjugacy_oracle(word)
+
+
+def _long_conjugate(first_factor, middle, n=1000):
+    """u * middle * u^-1 with u of n alternating syllables starting in first_factor."""
+    letters = {"L": (2, 3), "R": (3, 3, 2)}
+    factors = [first_factor, "R" if first_factor == "L" else "L"]
+    u = [(factors[i % 2], letters[factors[i % 2]]) for i in range(n)]
+    return amalgam_word(u + [middle] + [(f, free_inv(w)) for f, w in reversed(u)])
+
+
+def test_long_conjugates_classify():
+    assert classify_element(_long_conjugate("R", ("R", (4,)))) == PSEUDO_ANOSOV_TYPE
+    assert classify_element(_long_conjugate("L", ("L", (1,) * 7))) == EDGE_CONJUGATE
 
 
 def test_long_edge_power_reduces_and_classifies():

@@ -1,7 +1,10 @@
 """End-to-end checks of the command line surface."""
 
+from contextlib import redirect_stderr, redirect_stdout
+import io
 import json
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from lamkit.cli import main
@@ -237,7 +240,6 @@ def test_report_small(capsys):
     assert lines[-1].startswith("ALL PASS")
 
 
-
 def _bad_input_argv(probe, tmp_path, monkeypatch):
     path = tmp_path / "input.json"
     surface = json.loads(surface_to_json(build_double_polygon(2)))
@@ -252,8 +254,16 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
         return cylinders
     if probe == "missing-in-file":
         return cylinders
-    if probe == "bvec-not-a-number":
-        return ["witness", "--genus", "2", "--bvec", "1,abc"]
+    witness = {
+        "bvec-not-a-number": ["--bvec", "1,abc"],
+        "bvec-infinite": ["--bvec", "1,inf"],
+        "bvec-zero-denominator": ["--bvec", "1/0,2"],
+        "bvec-nan": ["--bvec", "1,nan"],
+        "tol-nan": ["--bvec", "1,2", "--tol", "nan"],
+        "tol-inf": ["--bvec", "1,2", "--tol", "inf"],
+    }
+    if probe in witness:
+        return ["witness", "--genus", "2", *witness[probe]]
     if probe == "precision-env-not-a-number":
         monkeypatch.setenv("LAMKIT_PRECISION", "abc")
         return ["build", "--genus", "2"]
@@ -269,6 +279,11 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
         "gluing-index-out-of-range",
         "missing-in-file",
         "bvec-not-a-number",
+        "bvec-infinite",
+        "bvec-zero-denominator",
+        "bvec-nan",
+        "tol-nan",
+        "tol-inf",
         "precision-env-not-a-number",
         "weights-without-components",
     ],
@@ -278,3 +293,75 @@ def test_bad_input_is_a_one_line_usage_error(probe, tmp_path, capsys, monkeypatc
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Property tests over arbitrary option text: an exception escaping ``main``
+# fails the test with its traceback.
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused an option value
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# exponents have at most 3 digits: letters are expanded one by one
+_EXPONENT = st.one_of(st.none(), st.integers(-999, 999))
+# valid pieces are drawn more often than junk, so that about half the words parse
+_ATOM = st.tuples(
+    st.sampled_from(["g1", "g2", "z"] * 4 + ["g0", "g3", "g4", "g5"]), _EXPONENT
+).map(lambda a: a[0] if a[1] is None else f"{a[0]}^{a[1]}")
+_SYLLABLE = st.tuples(
+    st.sampled_from(["L:", "R:"] * 12 + ["", "L", "X:", ":", "1"]), st.lists(_ATOM, max_size=4)
+).map(lambda s: s[0] + "".join(s[1]))
+_EDGE_ATOM = st.tuples(st.sampled_from(["g1", "g2", "g3", "z", "g0"]), st.integers(-2, 2)).map(
+    lambda a: f"{a[0]}^{a[1]}"
+)
+
+
+@_PROPERTY
+@given(
+    st.lists(_SYLLABLE, max_size=8).map(" ".join),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.lists(_EDGE_ATOM, min_size=1, max_size=3).map("".join)),
+)
+def test_amalgam_reduce_on_arbitrary_words(word, g, edge_word):
+    options = [f"--g={g}"] + ([] if edge_word is None else [f"--edge-word={edge_word}"])
+    code, out, err = _run_quietly(["amalgam-reduce", f"--word={word}", *options])
+    assert code in (0, 2)
+    assert err == "" if code == 0 else (err.startswith("error: ") and err.count("\n") == 1)
+    if code == 0:
+        doc = json.loads(out)
+        code, out, err = _run_quietly(["amalgam-reduce", f"--word={doc['reduced']}", *options])
+        again = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (again["reduced"], again["classification"]) == (doc["reduced"], doc["classification"])
+
+
+_NUMBER = st.one_of(
+    st.integers(-1, 20).map(str),
+    st.decimals(min_value=-1, max_value=50, places=3).map(str),
+    st.fractions(min_value=-1, max_value=50, max_denominator=30).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1/0", "0/0", "1e-400", "1e400", "", "abc", "1/", "0x10"]),
+)
+_TOL = st.one_of(st.sampled_from(["1e-10", "1e-3", "0.5"]), _NUMBER)
+
+
+@_PROPERTY
+@given(st.lists(_NUMBER, min_size=2, max_size=2).map(",".join) | _NUMBER, _TOL)
+def test_witness_on_arbitrary_numbers(bvec, tol):
+    code, out, err = _run_quietly(["witness", "--genus=2", f"--bvec={bvec}", f"--tol={tol}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)

@@ -55,11 +55,24 @@ def one_run(surface):
 
 
 def exponent(points):
-    """Least-squares slope of log(seconds) against log(genus)."""
+    """Least-squares slope of log(seconds) against log(size) over (size, seconds) points."""
     xs = [math.log(g) for g, _ in points]
     ys = [math.log(t) for _, t in points]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def environment():
+    """The machine, the Python and mpmath versions and mpmath's backend."""
+    return {
+        "machine": platform.machine(),
+        "processor": platform.processor(),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "mpmath": mpmath.__version__,
+        "mpmath_backend": mpmath.libmp.BACKEND,
+    }
 
 
 def main(out):
@@ -87,15 +100,7 @@ def main(out):
         "genera": list(GENERA),
         "precision_bits": list(PRECISIONS),
         "exponent_fit_genera": list(FIT),
-        "environment": {
-            "machine": platform.machine(),
-            "processor": platform.processor(),
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "mpmath": mpmath.__version__,
-            "mpmath_backend": mpmath.libmp.BACKEND,
-        },
+        "environment": environment(),
         "results": results,
     }
     Path(out).write_text(json.dumps(doc, indent=1) + "\n")

@@ -27,7 +27,9 @@ where h and w are the horizontal/vertical height vectors.
 A segment endpoint within the crossing margin of a core of the other
 direction raises DecompositionError.  That margin pass tests each endpoint
 against its two bisect neighbours among the sorted core levels of its
-polygon; then four strict comparisons decide each crossing.
+polygon; then four strict comparisons decide each crossing, on exact integer
+keys: every mpf is a dyadic rational, so one power of two per polygon makes
+its levels and endpoints integers in the same order.
 """
 
 import bisect
@@ -136,6 +138,14 @@ def _near_a_level(levels, value, margin):
     return any(abs(levels[j] - value) < margin for j in (i - 1, i) if 0 <= j < len(levels))
 
 
+def _exact_keys(values):
+    """Integers ordered as the finite mpf ``values``: ``±man * 2^exp`` becomes
+    ``±man << (exp - low)``, ``low`` the least exponent of a nonzero value."""
+    parts = [v._mpf_ for v in values]
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    return [(-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in parts]
+
+
 def _crossing_matrix(horizontal, vertical, margin):
     """Crossing counts of every horizontal core with every vertical core; only
     segments in one polygon can cross."""
@@ -146,9 +156,12 @@ def _crossing_matrix(horizontal, vertical, margin):
             levels = sorted(s.level for _, s in far)
             if any(_near_a_level(levels, end, margin) for _, s in near for end in (s.lo, s.hi)):
                 raise DecompositionError("core curves meet a segment endpoint: degenerate crossing")
-        for i, sh in hs[p]:
-            for j, sv in vs[p]:
-                if sh.lo < sv.level < sh.hi and sv.lo < sh.level < sv.hi:
+        keys = _exact_keys([x for _, s in hs[p] + vs[p] for x in (s.level, s.lo, s.hi)])
+        triples = list(zip(keys[0::3], keys[1::3], keys[2::3]))
+        vk = [(j, *t) for (j, _), t in zip(vs[p], triples[len(hs[p]) :])]
+        for (i, _), (hl, hlo, hhi) in zip(hs[p], triples):
+            for j, vl, vlo, vhi in vk:
+                if hlo < vl < hhi and vlo < hl < vhi:
                     counts[i][j] += 1
     return tuple(map(tuple, counts))
 

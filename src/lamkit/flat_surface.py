@@ -16,9 +16,12 @@ Consecutive critical levels bound trapezoidal strips; the first-return map
 of the straight-line flow permutes the strips, and its orbits are the
 cylinders.
 
-``validate`` guarantees strictly convex polygons, so each polygon's edges form
-two monotone chains (level rising, level falling), a level meets at most one
-edge of each, and a chord's edges are found by one bisect per chain.
+``validate`` guarantees finite, strictly convex polygons, so each polygon's
+edges form two monotone chains (level rising, level falling), a level meets at
+most one edge of each, and a chord's edges are found by one bisect per chain.
+It remembers the last few valid surface values (an equal surface, such as a
+JSON round trip, is not checked again); an invalid one raises on every call.
+Strip widths and core endpoints are read off per-edge line rows.
 """
 
 import bisect
@@ -43,6 +46,7 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 DISTINGUISHED_DIRECTIONS = (HORIZONTAL, VERTICAL)
 _DECOMPOSITION_CACHE_SIZE = 64  # (surface, direction) pairs; least recently used go first
+_VALIDATION_CACHE_SIZE = 8  # valid surfaces whose verdict is remembered
 
 # Relative position of the marked core leaf inside a cylinder.  The two
 # directions use different offsets so that core crossings never land on a
@@ -246,10 +250,20 @@ def cone_angles(surface):
 
 def validate(surface):
     """Check all structural invariants; raise InvalidSurfaceError on failure."""
+    # checked on every call: with genus 2.0 a surface equals a remembered valid one
     if not isinstance(surface.genus, int) or surface.genus < 2:
         raise InvalidSurfaceError(f"genus must be an integer >= 2, got {surface.genus!r}")
+    return _validated(surface)
+
+
+@lru_cache(maxsize=_VALIDATION_CACHE_SIZE)
+def _validated(surface):
     if len(surface.polygons) != 2:
         raise InvalidSurfaceError("expected exactly two polygons")
+    for p, poly in enumerate(surface.polygons):
+        bad = next((i for i, v in enumerate(poly) if not all(map(mpmath.isfinite, v))), None)
+        if bad is not None:
+            raise InvalidSurfaceError(f"vertex {bad} of polygon {p} is not finite")
     with mpmath.workprec(surface.precision):
         scale = _diameter(surface)
         slack = scale * mpmath.mpf(DEFAULT_TOLERANCE)
@@ -315,16 +329,16 @@ def _along(point, direction):
     return point[1 - _LEVEL_AXIS[direction]]
 
 
-def _along_on_edge(surface, p, e, level, direction):
-    a, b = surface.edge(p, e)
-    la, lb = _level(a, direction), _level(b, direction)
-    t = (level - la) / (lb - la)
-    return _along(a, direction) + t * (_along(b, direction) - _along(a, direction))
+def _on_line(row, level):
+    """The along coordinate at ``level`` on the line of an edge-table row."""
+    _, _, la, aa, dl, da = row
+    return aa + (level - la) / dl * da
 
 
 def _edge_table(surface, direction, slack):
-    """Per polygon, one row ``(q, shift)`` per edge: the polygon glued to it and
-    the level shift of the gluing (end of the edge to start of its partner);
+    """Per polygon, one row ``(q, shift, la, aa, dl, da)`` per edge: the polygon
+    glued to it, the level shift of the gluing (end of the edge to start of its
+    partner), the edge's start (level, along) and its (level, along) extent;
     and the polygon's rising and falling chains (see :func:`_crossing_edges`)."""
     partner = {}
     for one, other in surface.gluings:
@@ -335,8 +349,10 @@ def _edge_table(surface, direction, slack):
         for e in range(len(poly)):
             a, b = surface.edge(p, e)
             la, lb = _level(a, direction), _level(b, direction)
+            aa = _along(a, direction)
             q, f = partner[(p, e)]
-            rows.append((q, _level(surface.edge(q, f)[0], direction) - lb))
+            shift = _level(surface.edge(q, f)[0], direction) - lb
+            rows.append((q, shift, la, aa, lb - la, _along(b, direction) - aa))
             if la != lb:
                 spans[la > lb].append((min(la, lb), max(la, lb), e))
         table.append(rows)
@@ -387,7 +403,7 @@ def _critical_levels(surface, direction, table, chains, slack, cap):
     while queue:
         p, lv = queue.pop()
         for e in _crossing_edges(chains[p], lv):
-            q, shift = table[p][e]
+            q, shift = table[p][e][:2]
             if insert(q, lv + shift) and sum(len(ls) for ls in levels) > cap:
                 raise DecompositionError(
                     f"{direction} direction is not completely periodic "
@@ -431,10 +447,8 @@ def _build_strips(direction, chains, levels):
     return strips
 
 
-def _strip_width(surface, strip, level, direction):
-    hi = _along_on_edge(surface, strip.polygon, strip.edge_hi, level, direction)
-    lo = _along_on_edge(surface, strip.polygon, strip.edge_lo, level, direction)
-    return hi - lo
+def _strip_width(rows, strip, level):
+    return _on_line(rows[strip.edge_hi], level) - _on_line(rows[strip.edge_lo], level)
 
 
 def cylinder_decomposition(surface, direction):
@@ -467,7 +481,7 @@ def _decomposition_cached(surface, direction):
             first.append(first[-1] + len(ls) - 1)
         next_strip = []
         for s in strips:
-            q, shift = table[s.polygon][s.edge_hi]
+            q, shift = table[s.polygon][s.edge_hi][:2]
             j = _find_level(levels[q], s.level_lo + shift, slack)
             if j is None or j == len(levels[q]) - 1:
                 raise DecompositionError(
@@ -499,20 +513,15 @@ def _decomposition_cached(surface, direction):
             cyl_area = mpmath.mpf(0)
             core_segments = []
             for s in members:
+                rows = table[s.polygon]
                 mid = (s.level_lo + s.level_hi) / 2
-                circumference += _strip_width(surface, s, mid, direction)
-                w_lo = _strip_width(surface, s, s.level_lo, direction)
-                w_hi = _strip_width(surface, s, s.level_hi, direction)
+                circumference += _strip_width(rows, s, mid)
+                w_lo = _strip_width(rows, s, s.level_lo)
+                w_hi = _strip_width(rows, s, s.level_hi)
                 cyl_area += (w_lo + w_hi) / 2 * s.height
                 core_level = s.level_lo + s.height * offset.numerator / offset.denominator
-                core_segments.append(
-                    CoreSegment(
-                        polygon=s.polygon,
-                        level=core_level,
-                        lo=_along_on_edge(surface, s.polygon, s.edge_lo, core_level, direction),
-                        hi=_along_on_edge(surface, s.polygon, s.edge_hi, core_level, direction),
-                    )
-                )
+                lo, hi = (_on_line(rows[e], core_level) for e in (s.edge_lo, s.edge_hi))
+                core_segments.append(CoreSegment(s.polygon, core_level, lo, hi))
             if abs(cyl_area - circumference * height) > slack * max(1, abs(cyl_area)) * 64:
                 raise DecompositionError("cylinder area does not match c * h (tracing bug)")
             cylinders.append((circumference, height, tuple(members), tuple(core_segments)))
@@ -641,7 +650,9 @@ def surface_from_json(text, precision=None):
         for edge in (edge for pair in gluings for edge in pair):
             if edge not in edges or not all(type(i) is int for i in edge):
                 raise IndexError(f"gluing names edge {edge}, which does not exist")
-        surface = TranslationSurface(int(doc["genus"]), polygons, gluings, bits)
+        if type(doc["genus"]) is not int:
+            raise TypeError(f"genus must be an integer, got {doc['genus']!r}")
+        surface = TranslationSurface(doc["genus"], polygons, gluings, bits)
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed surface JSON ({type(exc).__name__}: {exc})") from None
     validate(surface)

@@ -252,6 +252,10 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
         surface["gluings"][0] = [0, 9, 1, 0]
         path.write_text(json.dumps(surface))
         return cylinders
+    if probe == "genus-not-an-integer":
+        surface["genus"] = 2.7
+        path.write_text(json.dumps(surface))
+        return cylinders
     if probe == "missing-in-file":
         return cylinders
     witness = {
@@ -277,6 +281,7 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
     [
         "surface-without-polygons",
         "gluing-index-out-of-range",
+        "genus-not-an-integer",
         "missing-in-file",
         "bvec-not-a-number",
         "bvec-infinite",
@@ -363,5 +368,66 @@ def test_witness_on_arbitrary_numbers(bvec, tol):
     code, out, err = _run_quietly(["witness", "--genus=2", f"--bvec={bvec}", f"--tol={tol}"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+# mutations of the genus-2 surface document: ("coordinate", polygon, vertex,
+# axis, value), ("genus", value) or ("gluing", index, entry)
+_JUNK = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "", "abc", "1e400", "0x1"]),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-1, 2), max_size=3),
+)
+_COORDINATE = st.tuples(
+    st.just("coordinate"),
+    st.integers(0, 1),
+    st.integers(0, 4),
+    st.integers(0, 1),
+    st.one_of(_JUNK, st.floats(), st.floats(-2, 2).map(repr)),
+)
+_GENUS = st.tuples(
+    st.just("genus"),
+    st.one_of(
+        st.integers(-1, 4),
+        st.floats(-1, 4) | st.sampled_from([float("nan"), float("inf")]),
+        st.booleans(),
+        st.sampled_from(["2", "two", ""]),
+    ),
+)
+_GLUING = st.tuples(
+    st.just("gluing"),
+    st.integers(0, 4),
+    st.one_of(
+        st.lists(st.integers(-1, 6), max_size=5),
+        st.lists(st.booleans() | st.integers(0, 1), min_size=4, max_size=4),
+        _JUNK,
+    ),
+)
+
+
+def _mutate(doc, mutation):
+    kind, *where = mutation
+    if kind == "coordinate":
+        p, i, axis, value = where
+        doc["polygons"][p][i][axis] = value
+    elif kind == "genus":
+        doc["genus"] = where[0]
+    else:
+        doc["gluings"][where[0]] = where[1]
+
+
+@_PROPERTY
+@given(st.lists(st.one_of(_COORDINATE, _GENUS, _GLUING), min_size=1, max_size=3))
+def test_cylinders_on_mutated_surface_json(tmp_path_factory, mutations):
+    doc = json.loads(surface_to_json(build_double_polygon(2)))
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_quietly(["cylinders", f"--in={path}", "--dir=vertical"])
+    assert code in (0, 1, 2)
+    assert err == "" if code == 0 else (err.startswith("error: ") and err.count("\n") == 1)
     if code == 0:
         json.loads(out, parse_constant=_reject_constant)

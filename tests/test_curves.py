@@ -12,13 +12,16 @@ from itertools import permutations
 import random
 import re
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 import pytest
 
 from lamkit.curves import (
     _CROSSING_MARGIN,
     WeightedMulticurve,
+    _by_polygon,
     _crossing_matrix,
+    _exact_keys,
     chain_intersection_matrix,
     derive_intersection_matrix,
     intersection_system,
@@ -150,6 +153,47 @@ def test_crossing_count_matches_all_pairs_reference(bits):
             margin = mpmath.mpf(_CROSSING_MARGIN) * max(1, _diameter(s))
             expected = _all_pairs_matrix(hs, vs, margin)
         assert derive_intersection_matrix(s) == expected
+
+
+def _mpf_crossing_counts(horizontal, vertical):
+    """Reference: each same-polygon pair of core segments decided by four
+    strict mpf comparisons."""
+    hs, vs = _by_polygon(horizontal), _by_polygon(vertical)
+    counts = [[0] * len(vertical) for _ in horizontal]
+    for p in hs.keys() & vs.keys():
+        for i, sh in hs[p]:
+            for j, sv in vs[p]:
+                if sh.lo < sv.level < sh.hi and sv.lo < sh.level < sv.hi:
+                    counts[i][j] += 1
+    return tuple(map(tuple, counts))
+
+
+@pytest.mark.parametrize("bits", [64, 128, 1024])
+def test_exact_keys_count_as_mpf_comparisons(bits):
+    for g in range(2, 17):
+        s = build_double_polygon(g, precision=bits)
+        hs, vs = cylinder_decomposition(s, HORIZONTAL), cylinder_decomposition(s, VERTICAL)
+        with mpmath.workprec(bits):
+            margin = mpmath.mpf(_CROSSING_MARGIN) * max(1, _diameter(s))
+            assert _crossing_matrix(hs, vs, margin) == _mpf_crossing_counts(hs, vs)
+
+
+# sign, mantissa of up to 53 bits (exact at mpmath's default precision), exponent
+_MPF = st.builds(
+    lambda negative, man, exp: mpmath.mpf((-man if negative else man, exp)),
+    st.booleans(),
+    st.integers(0, 2**53 - 1) | st.sampled_from([0, 1, 3, 2**52]),
+    st.integers(-2000, 2000),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(_MPF, min_size=1, max_size=12))
+def test_exact_keys_order_values_as_mpf_does(values):
+    keys = _exact_keys(values)
+    for x, kx in zip(values, keys):
+        for y, ky in zip(values, keys):
+            assert (kx < ky, kx == ky) == (x < y, x == y)
 
 
 def _synthetic_cores(rng, direction, count, polygons=2):

@@ -15,17 +15,21 @@ import json
 import mpmath
 import pytest
 
+from lamkit.affine import parabolic_generator
+from lamkit.curves import derive_intersection_matrix
 from lamkit.errors import DecompositionError, InvalidSurfaceError, ParameterError
 from lamkit.flat_surface import (
     HORIZONTAL,
     VERTICAL,
     TranslationSurface,
+    _along,
     _critical_levels,
     _crossing_edges,
     _decomposition_cached,
     _diameter,
     _edge_table,
     _level,
+    _validated,
     area,
     build_double_polygon,
     cone_angles,
@@ -36,6 +40,7 @@ from lamkit.flat_surface import (
     validate,
     vertex_classes,
 )
+from lamkit.obstruction import vertical_heights
 from lamkit.precision import merge_tolerance
 
 
@@ -154,6 +159,42 @@ def test_chain_lookup_matches_linear_scan(direction, bits):
                     assert _crossing_edges(chains[p], level) == expected
 
 
+def _vertex_along(surface, p, e, level, direction):
+    """Reference: the along coordinate at ``level`` on edge e of polygon p,
+    derived from the edge's vertices on every call."""
+    a, b = surface.edge(p, e)
+    la, lb = _level(a, direction), _level(b, direction)
+    t = (level - la) / (lb - la)
+    return _along(a, direction) + t * (_along(b, direction) - _along(a, direction))
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+@pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
+def test_line_rows_match_the_vertex_formula_exactly(direction, bits):
+    # circumferences sum strip widths at mid-level in strip order; core
+    # segments end on the strip's edges at the core level
+    for g in range(2, 13):
+        s = build_double_polygon(g, precision=bits)
+        for c in cylinder_decomposition(s, direction):
+            with mpmath.workprec(bits):
+                circumference = mpmath.mpf(0)
+                ends = []
+                for st, seg in zip(c.strips, c.core_segments):
+                    mid = (st.level_lo + st.level_hi) / 2
+                    hi = _vertex_along(s, st.polygon, st.edge_hi, mid, direction)
+                    circumference += hi - _vertex_along(s, st.polygon, st.edge_lo, mid, direction)
+                    ends.append(
+                        tuple(
+                            _vertex_along(s, st.polygon, e, seg.level, direction)
+                            for e in (st.edge_lo, st.edge_hi)
+                        )
+                    )
+            assert c.circumference._mpf_ == circumference._mpf_
+            assert [(seg.lo._mpf_, seg.hi._mpf_) for seg in c.core_segments] == [
+                (lo._mpf_, hi._mpf_) for lo, hi in ends
+            ]
+
+
 def test_non_monotone_polygon_is_refused(surface):
     # lowering the top vertex of a pentagon below its neighbours leaves a notch,
     # so a horizontal chord near the top crosses four edges
@@ -241,6 +282,53 @@ def test_validate_catches_bad_genus_and_orientation(surface):
     )
     with pytest.raises(InvalidSurfaceError):
         validate(clockwise)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_vertex_is_invalid(surface, bad):
+    s = surface(2)
+    polys = [list(p) for p in s.polygons]
+    polys[1][3] = (polys[1][3][0], mpmath.mpf(bad))
+    broken = TranslationSurface(2, tuple(map(tuple, polys)), s.gluings, s.precision)
+    for _ in range(2):
+        with pytest.raises(InvalidSurfaceError, match="vertex 3 of polygon 1 is not finite"):
+            validate(broken)
+
+
+def test_validation_is_remembered_for_valid_surfaces_only(surface):
+    s = surface(3)
+    validate(s)
+    restored = surface_from_json(surface_to_json(s))
+    hits = _validated.cache_info().hits
+    assert validate(restored) is True
+    assert _validated.cache_info().hits == hits + 1
+    # equal to a remembered valid surface, but its genus is not an integer
+    with pytest.raises(InvalidSurfaceError, match="genus"):
+        validate(TranslationSurface(3.0, s.polygons, s.gluings, s.precision))
+    with mpmath.workprec(s.precision):
+        polys = [list(p) for p in s.polygons]
+        x, y = polys[0][2]
+        polys[0][2] = (x + mpmath.mpf("0.01"), y)
+    broken = TranslationSurface(3, tuple(map(tuple, polys)), s.gluings, s.precision)
+    for _ in range(2):
+        with pytest.raises(InvalidSurfaceError):
+            validate(broken)
+    assert 0 < _validated.cache_info().maxsize <= 16
+
+
+def test_one_geometry_pass_validates_once():
+    # build, both decompositions, crossings, heights, generator, symmetry and
+    # the JSON round trip of a never-seen surface
+    misses = _validated.cache_info().misses
+    s = build_double_polygon(5, precision=211)
+    for direction in (HORIZONTAL, VERTICAL):
+        cylinder_decomposition(s, direction)
+    derive_intersection_matrix(s)
+    vertical_heights(s)
+    parabolic_generator(5, s)
+    assert hyperelliptic_symmetry(s) is True
+    assert surface_from_json(surface_to_json(s), precision=211) == s
+    assert _validated.cache_info().misses == misses + 1
 
 
 def test_direction_must_be_distinguished(surface):

@@ -26,10 +26,9 @@ where h and w are the horizontal/vertical height vectors.
 
 A segment endpoint within the crossing margin of a core of the other
 direction raises DecompositionError.  That margin pass tests each endpoint
-against its two bisect neighbours among the sorted core levels of its
-polygon; then four strict comparisons decide each crossing, on exact integer
-keys: every mpf is a dyadic rational, so one power of two per polygon makes
-its levels and endpoints integers in the same order.
+against its two bisect neighbours among the core levels of its polygon,
+found by order key (``flat_surface._order_key``, at the polygon's widest
+mantissa); then four strict comparisons of order keys decide each crossing.
 """
 
 import bisect
@@ -43,6 +42,7 @@ from .flat_surface import (
     VERTICAL,
     cylinder_decomposition,
     _diameter,
+    _order_key,
 )
 
 # margin (relative to surface diameter) below which a core crossing is
@@ -131,19 +131,11 @@ def _by_polygon(cylinders):
     return groups
 
 
-def _near_a_level(levels, value, margin):
-    """Whether a level of the sorted list lies within ``margin`` of ``value``.
-    Rounded subtraction is monotone, so the two bisect neighbours decide."""
-    i = bisect.bisect_left(levels, value)
-    return any(abs(levels[j] - value) < margin for j in (i - 1, i) if 0 <= j < len(levels))
-
-
-def _exact_keys(values):
-    """Integers ordered as the finite mpf ``values``: ``±man * 2^exp`` becomes
-    ``±man << (exp - low)``, ``low`` the least exponent of a nonzero value."""
-    parts = [v._mpf_ for v in values]
-    low = min((exp for _, man, exp, _ in parts if man), default=0)
-    return [(-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in parts]
+def _near_a_level(levels, end, margin):
+    """Whether a ``(key, level)`` pair of the sorted ``levels`` lies within ``margin``
+    of the pair ``end``; rounded subtraction is monotone, so two bisect neighbours decide."""
+    i = bisect.bisect_left(levels, end[:1])
+    return any(abs(levels[j][1] - end[1]) < margin for j in (i - 1, i) if 0 <= j < len(levels))
 
 
 def _crossing_matrix(horizontal, vertical, margin):
@@ -152,12 +144,15 @@ def _crossing_matrix(horizontal, vertical, margin):
     hs, vs = _by_polygon(horizontal), _by_polygon(vertical)
     counts = [[0] * len(vertical) for _ in horizontal]
     for p in hs.keys() & vs.keys():
-        for near, far in ((hs[p], vs[p]), (vs[p], hs[p])):
-            levels = sorted(s.level for _, s in far)
-            if any(_near_a_level(levels, end, margin) for _, s in near for end in (s.lo, s.hi)):
+        values = [x for _, s in hs[p] + vs[p] for x in (s.level, s.lo, s.hi)]
+        bits = max(x._mpf_[3] for x in values)
+        keyed = [(_order_key(x, bits), x) for x in values]
+        h, v = keyed[: 3 * len(hs[p])], keyed[3 * len(hs[p]) :]
+        for near, far in ((h, v), (v, h)):
+            levels = sorted(far[0::3])
+            if any(_near_a_level(levels, end, margin) for end in near[1::3] + near[2::3]):
                 raise DecompositionError("core curves meet a segment endpoint: degenerate crossing")
-        keys = _exact_keys([x for _, s in hs[p] + vs[p] for x in (s.level, s.lo, s.hi)])
-        triples = list(zip(keys[0::3], keys[1::3], keys[2::3]))
+        triples = [(a[0], b[0], c[0]) for a, b, c in zip(keyed[0::3], keyed[1::3], keyed[2::3])]
         vk = [(j, *t) for (j, _), t in zip(vs[p], triples[len(hs[p]) :])]
         for (i, _), (hl, hlo, hhi) in zip(hs[p], triples):
             for j, vl, vlo, vhi in vk:

@@ -21,14 +21,17 @@ edges form two monotone chains (level rising, level falling), a level meets at
 most one edge of each, and a chord's edges are found by one bisect per chain.
 It remembers the last few valid surface values (an equal surface, such as a
 JSON round trip, is not checked again); an invalid one raises on every call.
-Strip widths and core endpoints are read off per-edge line rows.
+Strip widths and core endpoints are read off per-edge line rows, each width
+once (a strip between the same two edges as the strip below it reuses the
+width at their common level).  Bisects over levels, chains and strips compare
+exact order keys (:func:`_order_key`); tolerance decisions stay mpf tests.
 """
 
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, takewhile
+from itertools import accumulate, chain, takewhile
 import json
 
 import mpmath
@@ -152,7 +155,8 @@ def build_double_polygon(g, precision=None):
         for k in range(n - 1):
             ang = two_pi * k / n
             x, y = verts[-1]
-            verts.append((x + mpmath.cos(ang), y + mpmath.sin(ang)))
+            c, s = mpmath.cos_sin(ang)
+            verts.append((x + c, y + s))
         cx, cy = mpmath.mpf(1), mpmath.mpf(0)  # 2 * midpoint of the bottom edge
         mirrored = tuple((cx - x, cy - y) for (x, y) in verts)
         gluings = tuple(((0, k), (1, k)) for k in range(n))
@@ -297,9 +301,6 @@ def _validated(surface):
         if len(seen) != total_edges:
             raise InvalidSurfaceError("some edge is missing from the gluings")
 
-        if area(surface) <= 0:
-            raise InvalidSurfaceError("surface has nonpositive area")
-
         two_pi = 2 * mpmath.pi
         excess = mpmath.mpf(0)
         for angle in cone_angles(surface):
@@ -329,13 +330,32 @@ def _along(point, direction):
     return point[1 - _LEVEL_AXIS[direction]]
 
 
+def _order_key(x, bits):
+    """A tuple ordered as the finite real ``x`` among values whose mantissas have
+    at most ``bits`` bits: sign, binary magnitude, then the mantissa widened to
+    ``bits`` bits, negated below zero.  Equal keys mean equal values.  A value
+    without ``_mpf_`` (a float) goes through ``mpmath.mpf`` first, exactly."""
+    sign, man, exp, bc = x._mpf_ if hasattr(x, "_mpf_") else mpmath.mpf(x)._mpf_
+    if not man:
+        return (0, 0, 0)
+    if sign:
+        return (-1, -(exp + bc), -(man << (bits - bc)))
+    return (1, exp + bc, man << (bits - bc))
+
+
+def _key_bits(surface):
+    """``bits`` for :func:`_order_key`: the precision or the widest vertex mantissa."""
+    coords = (mpmath.mpmathify(c) for v in surface.all_vertices() for c in v)
+    return max(surface.precision, *(c._mpf_[3] for c in coords))
+
+
 def _on_line(row, level):
     """The along coordinate at ``level`` on the line of an edge-table row."""
     _, _, la, aa, dl, da = row
     return aa + (level - la) / dl * da
 
 
-def _edge_table(surface, direction, slack):
+def _edge_table(surface, direction, slack, bits):
     """Per polygon, one row ``(q, shift, la, aa, dl, da)`` per edge: the polygon
     glued to it, the level shift of the gluing (end of the edge to start of its
     partner), the edge's start (level, along) and its (level, along) extent;
@@ -356,30 +376,32 @@ def _edge_table(surface, direction, slack):
             if la != lb:
                 spans[la > lb].append((min(la, lb), max(la, lb), e))
         table.append(rows)
-        chains.append([_chain(p, sorted(side), slack) for side in spans])
+        chains.append([_chain(p, sorted(side), slack, bits) for side in spans])
     return table, chains
 
 
-def _chain(p, spans, slack):
+def _chain(p, spans, slack, bits):
     if any(hi > lo for (_, hi, _), (lo, _, _) in zip(spans, spans[1:])):
         raise DecompositionError(
             f"level chords of polygon {p} cross more than two edges (is the polygon convex?)"
         )
-    return [s[0] + slack for s in spans], [s[1] - slack for s in spans], [s[2] for s in spans]
+    starts = [_order_key(s[0] + slack, bits) for s in spans]
+    return starts, [_order_key(s[1] - slack, bits) for s in spans], [s[2] for s in spans]
 
 
-def _find_level(levels, value, slack):
-    """Index of the lowest level within ``slack`` of ``value`` in the sorted list,
-    or None.  Levels lie more than ``slack`` apart, so only two can match."""
-    i = bisect.bisect_left(levels, value)
+def _find_level(levels, keys, value, key, slack):
+    """Index of the lowest level within ``slack`` of ``value`` (order key ``key``)
+    in the sorted list, whose order keys are ``keys``, or None.  Levels lie more
+    than ``slack`` apart, so only two can match."""
+    i = bisect.bisect_left(keys, key)
     for j in (i - 1, i):
         if 0 <= j < len(levels) and abs(levels[j] - value) <= slack:
             return j
     return None
 
 
-def _critical_levels(surface, direction, table, chains, slack, cap):
-    """Vertex levels of each polygon, closed under transport across gluings.
+def _critical_levels(surface, direction, table, chains, slack, cap, bits):
+    """Vertex levels of each polygon, closed under transport across gluings, and keys.
 
     A critical level with its chord endpoint in the interior of an edge
     continues into the partner polygon; repeating until stable reproduces
@@ -387,55 +409,60 @@ def _critical_levels(surface, direction, table, chains, slack, cap):
     merges into it.  Failure to stabilize within ``cap`` levels means the
     direction is not completely periodic.
     """
-    levels = [[] for _ in surface.polygons]
+    levels, keys = [[] for _ in surface.polygons], [[] for _ in surface.polygons]
     queue = []
 
     def insert(p, level):
-        new = _find_level(levels[p], level, slack) is None
-        if new:
-            bisect.insort(levels[p], level)
-            queue.append((p, level))
-        return new
+        key = _order_key(level, bits)
+        if _find_level(levels[p], keys[p], level, key, slack) is not None:
+            return False
+        i = bisect.bisect_left(keys[p], key)  # an equal key would have merged
+        keys[p].insert(i, key)
+        levels[p].insert(i, level)
+        queue.append((p, level, key))
+        return True
 
     for p, poly in enumerate(surface.polygons):
         for v in poly:
             insert(p, _level(v, direction))
     while queue:
-        p, lv = queue.pop()
-        for e in _crossing_edges(chains[p], lv):
+        p, lv, key = queue.pop()
+        for e in _crossing_edges(chains[p], key):
             q, shift = table[p][e][:2]
             if insert(q, lv + shift) and sum(len(ls) for ls in levels) > cap:
                 raise DecompositionError(
                     f"{direction} direction is not completely periodic "
                     f"(separatrix levels fail to close up)"
                 )
-    return levels
+    return levels, keys
 
 
-def _crossing_edges(chains, level):
-    """Edges, in index order, whose span holds ``level`` with slack to spare.
+def _crossing_edges(chains, key):
+    """Edges, in index order, whose span holds the level keyed ``key`` with slack to spare.
 
     A chain is three lists over the edges whose level rises (or falls), sorted
-    by span: ``lo + slack``, ``hi - slack`` and the edge index.  Its spans do
-    not overlap, so only the last edge starting below ``level`` can hold it."""
+    by span: the order keys of ``lo + slack`` and ``hi - slack``, and the edge
+    index.  Its spans do not overlap, so only the last edge starting below the
+    level can hold it."""
     found = []
     for starts, ends, edges in chains:
-        k = bisect.bisect_left(starts, level) - 1
-        if k >= 0 and level < ends[k]:
+        k = bisect.bisect_left(starts, key) - 1
+        if k >= 0 and key < ends[k]:
             found.append(edges[k])
     return sorted(found)
 
 
-def _build_strips(direction, chains, levels):
+def _build_strips(direction, chains, levels, bits):
     """One strip per pair of consecutive levels, between the two edges that cross
-    its mid-level.  ``edge_lo`` has the smaller along coordinate: in a
-    counterclockwise polygon that is the falling edge of a horizontal strip and
-    the rising edge of a vertical one."""
-    strips = []
+    its mid-level, and the mid-levels.  ``edge_lo`` has the smaller along
+    coordinate: in a counterclockwise polygon that is the falling edge of a
+    horizontal strip and the rising edge of a vertical one."""
+    strips, mids = [], []
     for p, ls in enumerate(levels):
         rising = set(chains[p][0][2])  # the edge indices of the rising chain
         for la, lb in zip(ls, ls[1:]):
-            edges = _crossing_edges(chains[p], (la + lb) / 2)
+            mid = (la + lb) / 2
+            edges = _crossing_edges(chains[p], _order_key(mid, bits))
             if len(edges) != 2:
                 raise DecompositionError(
                     f"level chord of polygon {p} crossed {len(edges)} edges; "
@@ -444,7 +471,8 @@ def _build_strips(direction, chains, levels):
             if (edges[0] in rising) == (direction == HORIZONTAL):
                 edges.reverse()
             strips.append(Strip(p, la, lb, *edges))
-    return strips
+            mids.append(mid)
+    return strips, mids
 
 
 def _strip_width(rows, strip, level):
@@ -467,22 +495,22 @@ def cylinder_decomposition(surface, direction):
 @lru_cache(maxsize=_DECOMPOSITION_CACHE_SIZE)
 def _decomposition_cached(surface, direction):
     with mpmath.workprec(surface.precision):
+        bits = _key_bits(surface)
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
         n_edges = sum(len(p) for p in surface.polygons)
         cap = 64 * n_edges + 256
-        table, chains = _edge_table(surface, direction, slack)
-        levels = _critical_levels(surface, direction, table, chains, slack, cap)
-        strips = _build_strips(direction, chains, levels)
+        table, chains = _edge_table(surface, direction, slack, bits)
+        levels, keys = _critical_levels(surface, direction, table, chains, slack, cap, bits)
+        strips, mids = _build_strips(direction, chains, levels, bits)
 
         # first-return map on strips: exit through the high-along edge.  The
         # strips of polygon q are its consecutive level pairs, from first[q] on.
-        first = [0]
-        for ls in levels:
-            first.append(first[-1] + len(ls) - 1)
+        first = list(accumulate((len(ls) - 1 for ls in levels), initial=0))
         next_strip = []
         for s in strips:
             q, shift = table[s.polygon][s.edge_hi][:2]
-            j = _find_level(levels[q], s.level_lo + shift, slack)
+            level = s.level_lo + shift
+            j = _find_level(levels[q], keys[q], level, _order_key(level, bits), slack)
             if j is None or j == len(levels[q]) - 1:
                 raise DecompositionError(
                     "transported strip does not match any strip (closure bug)"
@@ -490,6 +518,16 @@ def _decomposition_cached(surface, direction):
             next_strip.append(first[q] + j)
         if sorted(next_strip) != list(range(len(strips))):
             raise DecompositionError("strip return map is not a bijection")
+
+        # each strip's widths at its two levels, in strip order: a strip between
+        # the same two edges as the strip below it shares their common level
+        sides = [(s.polygon, s.edge_lo, s.edge_hi) for s in strips]
+        w_lo, w_hi = [], []
+        for k, s in enumerate(strips):
+            rows = table[s.polygon]
+            shared = k and sides[k - 1] == sides[k]
+            w_lo.append(w_hi[-1] if shared else _strip_width(rows, s, s.level_lo))
+            w_hi.append(_strip_width(rows, s, s.level_hi))
 
         offset = _CORE_OFFSET[direction]
         seen = [False] * len(strips)
@@ -506,20 +544,18 @@ def _decomposition_cached(surface, direction):
             if i != start:
                 raise DecompositionError("strip orbit failed to close")
             members = [strips[j] for j in orbit]
-            height = members[0].height
-            if max(abs(s.height - height) for s in members) > slack:
+            heights = [s.height for s in members]
+            height = heights[0]
+            if max(abs(h - height) for h in heights) > slack:
                 raise DecompositionError("strips of one cylinder have unequal heights")
             circumference = mpmath.mpf(0)
             cyl_area = mpmath.mpf(0)
             core_segments = []
-            for s in members:
+            for j, s, h in zip(orbit, members, heights):
                 rows = table[s.polygon]
-                mid = (s.level_lo + s.level_hi) / 2
-                circumference += _strip_width(rows, s, mid)
-                w_lo = _strip_width(rows, s, s.level_lo)
-                w_hi = _strip_width(rows, s, s.level_hi)
-                cyl_area += (w_lo + w_hi) / 2 * s.height
-                core_level = s.level_lo + s.height * offset.numerator / offset.denominator
+                circumference += _strip_width(rows, s, mids[j])
+                cyl_area += (w_lo[j] + w_hi[j]) / 2 * h
+                core_level = s.level_lo + h * offset.numerator / offset.denominator
                 lo, hi = (_on_line(rows[e], core_level) for e in (s.edge_lo, s.edge_hi))
                 core_segments.append(CoreSegment(s.polygon, core_level, lo, hi))
             if abs(cyl_area - circumference * height) > slack * max(1, abs(cyl_area)) * 64:
@@ -551,33 +587,23 @@ def hyperelliptic_symmetry(surface):
         verts = surface.all_vertices()
         cx = sum(v[0] for v in verts) / len(verts)
         cy = sum(v[1] for v in verts) / len(verts)
+        twice = {VERTICAL: 2 * cx, HORIZONTAL: 2 * cy}  # doubling is exact
         slack = mpmath.mpf(DEFAULT_TOLERANCE) * max(1, _diameter(surface))
+        bits = _key_bits(surface)
 
-        def reflect(pt):
-            return (2 * cx - pt[0], 2 * cy - pt[1])
-
-        # match each reflected vertex with a vertex of some polygon
-        edge_image = {}
-        poly_image = {}
+        # match the reflected vertices of each polygon with a cyclic shift of some polygon
+        edge_image, poly_image = {}, {}
         for p, poly in enumerate(surface.polygons):
             n = len(poly)
-            found = None
-            for q, other in enumerate(surface.polygons):
-                if len(other) != n:
-                    continue
-                for shift in range(n):
-                    ok = True
-                    for i in range(n):
-                        tx, ty = reflect(poly[i])
-                        wx, wy = other[(shift + i) % n]
-                        if abs(tx - wx) > slack or abs(ty - wy) > slack:
-                            ok = False
-                            break
-                    if ok:
-                        found = (q, shift)
-                        break
-                if found:
-                    break
+            images = [(twice[VERTICAL] - x, twice[HORIZONTAL] - y) for x, y in poly]
+            matches = (
+                (q, shift)
+                for q, other in enumerate(surface.polygons) if len(other) == n
+                for shift in range(n)
+                if all(abs(tx - wx) <= slack and abs(ty - wy) <= slack
+                       for (tx, ty), (wx, wy) in zip(images, other[shift:] + other[:shift]))
+            )
+            found = next(matches, None)
             if found is None:
                 return False
             q, shift = found
@@ -586,33 +612,32 @@ def hyperelliptic_symmetry(surface):
                 edge_image[(p, e)] = (q, (shift + e) % n)
 
         gluing_set = {frozenset(pair) for pair in surface.gluings}
-        for (p, e), (q, f) in surface.gluings:
-            image = frozenset((edge_image[(p, e)], edge_image[(q, f)]))
-            if image not in gluing_set:
-                return False
+        images = (frozenset(edge_image[e] for e in pair) for pair in surface.gluings)
+        if any(image not in gluing_set for image in images):
+            return False
 
         for direction in DISTINGUISHED_DIRECTIONS:
-            center_level = cx if direction == VERTICAL else cy
             for cyl in cylinder_decomposition(surface, direction):
-                keys = sorted((s.level_lo, s.level_hi, s.polygon) for s in cyl.strips)
+                keys = sorted((_order_key(s.level_lo, bits), s.level_lo, s.level_hi, s.polygon)
+                              for s in cyl.strips)
                 for s in cyl.strips:
-                    lo, hi = 2 * center_level - s.level_hi, 2 * center_level - s.level_lo
-                    if not _has_strip(keys, lo, hi, poly_image[s.polygon], slack):
+                    lo, hi = twice[direction] - s.level_hi, twice[direction] - s.level_lo
+                    if not _has_strip(keys, lo, hi, poly_image[s.polygon], slack, bits):
                         return False
         return True
 
 
-def _has_strip(keys, lo, hi, polygon, slack):
-    """Whether a ``(level_lo, level_hi, polygon)`` key, sorted by ``level_lo``,
-    matches within ``slack`` on both levels.  Rounded subtraction is monotone,
-    so the keys with a close ``level_lo`` form one run around the bisect point."""
-    i = bisect.bisect_left(keys, lo, key=lambda k: k[0])
+def _has_strip(keys, lo, hi, polygon, slack, bits):
+    """Whether a ``(order key, level_lo, level_hi, polygon)`` entry, sorted, matches
+    within ``slack`` on both levels.  Rounded subtraction is monotone, so the
+    entries with a close ``level_lo`` form one run around the bisect point."""
+    i = bisect.bisect_left(keys, (_order_key(lo, bits),))
 
     def close(k):
-        return abs(lo - k[0]) <= slack
+        return abs(lo - k[1]) <= slack
 
     run = chain(takewhile(close, keys[i:]), takewhile(close, reversed(keys[:i])))
-    return any(k[2] == polygon and abs(hi - k[1]) <= slack for k in run)
+    return any(k[3] == polygon and abs(hi - k[2]) <= slack for k in run)
 
 
 # ---------------------------------------------------------------------------

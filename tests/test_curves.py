@@ -21,7 +21,6 @@ from lamkit.curves import (
     WeightedMulticurve,
     _by_polygon,
     _crossing_matrix,
-    _exact_keys,
     chain_intersection_matrix,
     derive_intersection_matrix,
     intersection_system,
@@ -35,6 +34,7 @@ from lamkit.flat_surface import (
     CoreSegment,
     Cylinder,
     _diameter,
+    _order_key,
     area,
     build_double_polygon,
     cylinder_decomposition,
@@ -178,19 +178,27 @@ def test_exact_keys_count_as_mpf_comparisons(bits):
             assert _crossing_matrix(hs, vs, margin) == _mpf_crossing_counts(hs, vs)
 
 
-# sign, mantissa of up to 53 bits (exact at mpmath's default precision), exponent
+_KEY_BITS = 2048
+
+
+def _exact_mpf(negative, man, exp):
+    with mpmath.workprec(_KEY_BITS):
+        return mpmath.mpf((-man if negative else man, exp))
+
+
+# sign, mantissa of up to 2048 bits (exact at 2048 bits), exponent; and floats
 _MPF = st.builds(
-    lambda negative, man, exp: mpmath.mpf((-man if negative else man, exp)),
+    _exact_mpf,
     st.booleans(),
-    st.integers(0, 2**53 - 1) | st.sampled_from([0, 1, 3, 2**52]),
+    st.integers(0, 2**_KEY_BITS - 1) | st.sampled_from([0, 1, 3, 2**52, 2**(_KEY_BITS - 1)]),
     st.integers(-2000, 2000),
-)
+) | st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.lists(_MPF, min_size=1, max_size=12))
 def test_exact_keys_order_values_as_mpf_does(values):
-    keys = _exact_keys(values)
+    keys = [_order_key(x, _KEY_BITS) for x in values]
     for x, kx in zip(values, keys):
         for y, ky in zip(values, keys):
             assert (kx < ky, kx == ky) == (x < y, x == y)

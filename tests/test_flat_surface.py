@@ -15,6 +15,7 @@ import json
 import mpmath
 import pytest
 
+from lamkit import flat_surface
 from lamkit.affine import parabolic_generator
 from lamkit.curves import derive_intersection_matrix
 from lamkit.errors import DecompositionError, InvalidSurfaceError, ParameterError
@@ -28,7 +29,10 @@ from lamkit.flat_surface import (
     _decomposition_cached,
     _diameter,
     _edge_table,
+    _key_bits,
     _level,
+    _on_line,
+    _order_key,
     _validated,
     area,
     build_double_polygon,
@@ -147,8 +151,9 @@ def test_chain_lookup_matches_linear_scan(direction, bits):
         s = build_double_polygon(g, precision=bits)
         with mpmath.workprec(bits):
             slack = merge_tolerance(bits) * max(1, _diameter(s))
-            table, chains = _edge_table(s, direction, slack)
-            levels = _critical_levels(s, direction, table, chains, slack, cap=10**6)
+            key_bits = _key_bits(s)
+            table, chains = _edge_table(s, direction, slack, key_bits)
+            levels, _ = _critical_levels(s, direction, table, chains, slack, 10**6, key_bits)
             for p, ls in enumerate(levels):
                 probes = ls + [(a + b) / 2 for a, b in zip(ls, ls[1:])]
                 for v in s.polygons[p]:
@@ -156,7 +161,67 @@ def test_chain_lookup_matches_linear_scan(direction, bits):
                     probes += [lv + k * slack for k in (-2, -1, -0.5, 0.5, 1, 2)]
                 for level in probes:
                     expected = _linear_crossing_edges(s, p, direction, level, slack)
-                    assert _crossing_edges(chains[p], level) == expected
+                    assert _crossing_edges(chains[p], _order_key(level, key_bits)) == expected
+
+
+def _vertices_from_separate_trig(g, bits):
+    """Reference: the vertex loop with one ``cos`` and one ``sin`` call per vertex."""
+    n = 2 * g + 1
+    with mpmath.workprec(bits):
+        two_pi = 2 * mpmath.pi
+        verts = [(mpmath.mpf(0), mpmath.mpf(0))]
+        for k in range(n - 1):
+            ang = two_pi * k / n
+            x, y = verts[-1]
+            verts.append((x + mpmath.cos(ang), y + mpmath.sin(ang)))
+    return verts
+
+
+@pytest.mark.parametrize("bits", [64, 100, 517, 2048])
+def test_vertices_match_separate_cos_and_sin(bits):
+    for g in range(2, 17):
+        s = build_double_polygon(g, precision=bits)
+        expected = _vertices_from_separate_trig(g, bits)
+        assert [(x._mpf_, y._mpf_) for x, y in s.polygons[0]] == [
+            (x._mpf_, y._mpf_) for x, y in expected
+        ]
+
+
+def test_float_coordinates_still_fail_to_decompose(surface):
+    # floats are 53-bit values in a 128-bit surface: the gluings do not close
+    # up within the merge slack, which the decomposition reports
+    s = surface(2)
+    polygons = tuple(tuple((float(x), float(y)) for x, y in p) for p in s.polygons)
+    floats = TranslationSurface(s.genus, polygons, s.gluings, s.precision)
+    assert validate(floats)
+    for direction in (HORIZONTAL, VERTICAL):
+        with pytest.raises(DecompositionError):
+            cylinder_decomposition(floats, direction)
+    with pytest.raises(DecompositionError):
+        hyperelliptic_symmetry(floats)
+
+
+def test_vertical_strip_widths_are_traced_once(monkeypatch):
+    # _on_line calls per strip: two for the mid-level width, two for the core
+    # endpoints and two for the width at level_hi; two more for the width at
+    # level_lo only where the strip below is in another polygon or between
+    # other edges
+    calls = []
+
+    def counted(row, level):
+        calls.append(level)
+        return _on_line(row, level)
+
+    s = build_double_polygon(8, precision=131)
+    monkeypatch.setattr(flat_surface, "_on_line", counted)
+    cylinders = _decomposition_cached.__wrapped__(s, VERTICAL)
+    strips = sorted(
+        (st for c in cylinders for st in c.strips), key=lambda st: (st.polygon, st.level_lo)
+    )
+    edges = [(st.polygon, st.edge_lo, st.edge_hi) for st in strips]
+    runs = 1 + sum(a != b for a, b in zip(edges, edges[1:]))
+    assert len(calls) == 6 * len(strips) + 2 * runs
+    assert len(calls) < 6.5 * len(strips)  # 8 per strip when every width was traced anew
 
 
 def _vertex_along(surface, p, e, level, direction):

@@ -1,14 +1,17 @@
-"""Time the cylinder decompositions and the core crossing count over genus and precision.
+"""Time surface building, the cylinder decompositions, the core crossing count and
+the symmetry check over genus and precision.
 
 Usage, from the repository root:
 
     python3 tools/bench_decomposition.py [OUT]
 
-For every (genus, precision) pair it builds the double-(2g+1)-gon surface and
-times, in one fresh run, the horizontal decomposition, the vertical
-decomposition and ``derive_intersection_matrix`` on the decompositions just
-made (so the last is the crossing count alone).  The decomposition cache is
-cleared before each run.  It records the median of ``RUNS`` runs in
+For every (genus, precision) pair it times, in one fresh run, building the
+double-(2g+1)-gon surface (validation included), the horizontal
+decomposition, the vertical decomposition, ``derive_intersection_matrix``
+and ``hyperelliptic_symmetry``; the last two run on the decompositions just
+made, so they time the crossing count and the symmetry matching alone.  The
+validation memo and the decomposition cache are cleared before each run.
+It records the median of ``RUNS`` runs in
 wall-clock seconds, the machine, the Python and mpmath versions and mpmath's
 backend, and the least-squares exponent of time against genus between
 ``FIT[0]`` and ``FIT[1]``.  The result goes to OUT (default
@@ -36,21 +39,26 @@ GENERA = tuple(range(2, 17)) + (20, 24, 28, 32, 40, 48, 56, 64)
 PRECISIONS = (128, 1024)
 RUNS = 5
 FIT = (24, 64)
-STAGES = ("decompose_h", "decompose_v", "crossings")
+STAGES = ("build", "decompose_h", "decompose_v", "crossings", "symmetry")
 
 
-def one_run(surface):
+def one_run(genus, bits):
+    """Seconds of each stage, in ``STAGES`` order, on a surface no cache has seen."""
+    flat_surface._validated.cache_clear()
     flat_surface._decomposition_cached.cache_clear()
-    calls = (
-        lambda: flat_surface.cylinder_decomposition(surface, flat_surface.HORIZONTAL),
-        lambda: flat_surface.cylinder_decomposition(surface, flat_surface.VERTICAL),
-        lambda: curves.derive_intersection_matrix(surface),
-    )
     seconds = []
-    for call in calls:
+
+    def timed(call, *args):
         start = time.perf_counter()
-        call()
+        result = call(*args)
         seconds.append(time.perf_counter() - start)
+        return result
+
+    surface = timed(flat_surface.build_double_polygon, genus, bits)
+    timed(flat_surface.cylinder_decomposition, surface, flat_surface.HORIZONTAL)
+    timed(flat_surface.cylinder_decomposition, surface, flat_surface.VERTICAL)
+    timed(curves.derive_intersection_matrix, surface)
+    timed(flat_surface.hyperelliptic_symmetry, surface)
     return seconds
 
 
@@ -80,8 +88,7 @@ def main(out):
     for bits in PRECISIONS:
         rows = []
         for g in GENERA:
-            surface = flat_surface.build_double_polygon(g, precision=bits)
-            runs = [one_run(surface) for _ in range(RUNS)]
+            runs = [one_run(g, bits) for _ in range(RUNS)]
             medians = {name: statistics.median(r[k] for r in runs) for k, name in enumerate(STAGES)}
             rows.append({"genus": g, **{f"{name}_s": round(t, 6) for name, t in medians.items()}})
             print(bits, g, " ".join(f"{name} {t:.4f}" for name, t in medians.items()), flush=True)

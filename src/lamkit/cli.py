@@ -39,6 +39,12 @@ def _write(text, out_path):
         sys.stdout.write(text)
 
 
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _config(args, **extra):
     doc = {"version": __version__}
     for key in ("genus", "precision", "seed", "tol", "samples"):
@@ -119,12 +125,8 @@ def cmd_affine(args):
 def cmd_chain(args):
     system = curves.chain_intersection_matrix(args.genus)
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([""] + list(system.labels))
-        for label, row in zip(system.labels, system.matrix):
-            writer.writerow([label] + list(row))
-        _write(buf.getvalue(), args.out)
+        rows = [[label] + list(row) for label, row in zip(system.labels, system.matrix)]
+        _write(_csv_text([[""] + list(system.labels)] + rows), args.out)
         return 0
     doc = {
         "config": _config(args),
@@ -145,20 +147,13 @@ def cmd_twist_limit(args):
     except LamkitError:
         limit_norm = None
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "error"])
-        for sample in trace:
-            writer.writerow(
-                [sample.k, "" if sample.error is None else repr(float(sample.error))]
-            )
-        with open(args.csv, "w") as fh:
-            fh.write(buf.getvalue())
+        rows = [[sample.k, repr(float(sample.error))] for sample in trace]
+        _write(_csv_text([["k", "error"]] + rows), args.csv)
     fit = dynamics.decay_fit(trace, k_min=max(1, args.k // 100))
     doc = {
         "config": _config(args, k=args.k),
         "limit": limit_norm,
-        "final_error": None if trace[-1].error is None else repr(float(trace[-1].error)),
+        "final_error": repr(float(trace[-1].error)),
         "decay": None if fit is None else {"slope": repr(fit[0]), "constant": repr(fit[1])},
     }
     _write(_dump_json(doc), args.out)
@@ -170,13 +165,9 @@ def cmd_circle_map(args):
     samples = dynamics.circle_samples(surface, args.samples)
     if args.csv:
         g = surface.genus
-        buf = io.StringIO()
-        writer = csv.writer(buf)
         labels = [f"a{i}" for i in range(1, g + 1)] + [f"b{j}" for j in range(1, g + 1)]
-        writer.writerow(["theta"] + labels)
-        for theta, cls in samples:
-            writer.writerow([mpf_str(theta)] + [mpf_str(v) for v in cls.normalized()])
-        _write(buf.getvalue(), args.out)
+        rows = [[mpf_str(theta)] + [mpf_str(v) for v in cls.normalized()] for theta, cls in samples]
+        _write(_csv_text([["theta"] + labels] + rows), args.out)
         return 0
     doc = {
         "config": _config(args),

@@ -14,14 +14,20 @@ holonomy v as |v x u_theta|.  Because all 2g cores of the double-polygon
 family are axis-parallel, this coordinate projection identifies theta with
 pi - theta; the fold-free fundamental arc is [0, pi/2], with the horizontal
 and vertical foliation classes as endpoints.
+
+On the arc put t = tan theta: the normalized a-entries c_i t / (A t + B)
+rise and the b-entries c_j / (A t + B) fall, where A and B sum the
+horizontal and vertical circumferences.  Float rounding and subtraction are
+monotone, so for samples i < j < k in arc order the float lift distance
+d(i, k) is at least d(i, j): ``min_pairwise_distance`` compares neighbours.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd
 
 import mpmath
-import numpy as np
 
 from .errors import HypothesisError, ParameterError
 from .flat_surface import HORIZONTAL, VERTICAL, cylinder_decomposition
@@ -69,10 +75,7 @@ class ProjectiveClass:
         if len(self.vector) != len(other.vector):
             raise ParameterError("projective classes live in different dimensions")
         a, b = self.normalized(), other.normalized()
-        exact = all(isinstance(v, Fraction) for v in a) and all(
-            isinstance(v, Fraction) for v in b
-        )
-        if exact:
+        if all(isinstance(v, Fraction) for v in a + b):
             return max(abs(x - y) for x, y in zip(a, b))
         with mpmath.workprec(value_precision(*a, *b)):
             return max(abs(_to_mpf(x) - _to_mpf(y)) for x, y in zip(a, b))
@@ -111,7 +114,7 @@ def _crossing_curve_sum(weights):
 class TraceSample:
     k: int
     projective: ProjectiveClass
-    error: object  # exact Fraction distance to the iteration limit
+    error: Fraction  # exact sup-norm distance to the iteration limit
 
 
 _CHECKPOINTS = 80
@@ -176,17 +179,19 @@ def iterate_trace(weights, k_max, checkpoints=None):
 def decay_fit(samples, k_min=1):
     """Least-squares slope and constant of log error against log k.
 
-    Fits error ~ C * k**slope over the samples with positive error and
-    k >= k_min; returns (slope, C), or None when fewer than two usable
-    samples exist (e.g. on fixed-point inputs, where the error vanishes).
+    Fits error ~ C * k**slope over the samples with k >= k_min whose error
+    is positive as a float; returns (slope, C), or None when fewer than two
+    usable samples exist (e.g. on fixed-point inputs, where the error vanishes).
     """
     ks, errs = [], []
     for s in samples:
-        if s.error is not None and s.error > 0 and s.k >= k_min:
+        if s.k >= k_min and float(s.error) > 0:
             ks.append(float(s.k))
             errs.append(float(s.error))
     if len(ks) < 2:
         return None
+    import numpy as np  # only here: the CLI corpus pins polyfit's constant
+
     slope, intercept = np.polyfit(np.log10(ks), np.log10(errs), 1)
     return float(slope), float(10**intercept)
 
@@ -235,38 +240,31 @@ def circle_samples(surface, count):
     if count < 2:
         raise ParameterError("need at least two samples")
     with mpmath.workprec(surface.precision):
-        lo, hi = mpmath.mpf(0), mpmath.pi / 2
-        step = (hi - lo) / (count - 1)
-        return [
-            (lo + i * step, direction_foliation(surface, lo + i * step))
-            for i in range(count)
-        ]
-
-
-def lift_matrix(classes):
-    """Normalized lifts of projective classes as a float64 matrix (one row each)."""
-    return np.array(
-        [[float(v) for v in cls.normalized()] for cls in classes], dtype=np.float64
-    )
+        step = mpmath.pi / 2 / (count - 1)
+        return [(i * step, direction_foliation(surface, i * step)) for i in range(count)]
 
 
 def min_pairwise_distance(classes):
-    """Smallest sup-norm distance between the lifts of two different classes."""
-    lifts = lift_matrix(classes)
-    diffs = np.max(np.abs(lifts[:, None, :] - lifts[None, :, :]), axis=2)
-    np.fill_diagonal(diffs, np.inf)
-    return float(diffs.min())
+    """Smallest sup-norm distance between the float lifts of two of the classes.
+
+    The classes must be in arc order, as ``circle_samples`` returns them; only
+    neighbours are compared (see the module docstring).
+    """
+    if len(classes) < 2:
+        raise ParameterError("need at least two classes for a pairwise distance")
+    lifts = (tuple(float(v) for v in cls.normalized()) for cls in classes)
+    return min(max(abs(x - y) for x, y in zip(a, b)) for a, b in pairwise(lifts))
 
 
 def numerical_rank_ratio(classes):
-    """(third singular value) / (first singular value) of the lift matrix.
+    """(third singular value) / (first singular value) of the lifts, at working precision.
 
     Values below ~1e-9 certify that the sampled classes lie on a single
     projective line, which is the piecewise-projective property of the
     direction map within an arc free of core directions.
     """
-    m = lift_matrix(classes)
-    if m.shape[0] < 3:
+    if len(classes) < 3:
         raise ParameterError("need at least three classes for a rank test")
-    sv = np.linalg.svd(m, compute_uv=False)
+    lifts = mpmath.matrix([[_to_mpf(v) for v in cls.normalized()] for cls in classes])
+    sv = mpmath.svd_r(lifts, compute_uv=False)
     return float(sv[2] / sv[0])

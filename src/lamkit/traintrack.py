@@ -35,6 +35,12 @@ def _as_fraction(value, max_denominator=DEFAULT_MAX_DENOMINATOR):
     return exact.limit_denominator(max_denominator)
 
 
+def _json_weight(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"weight {value!r} is not a number or a string")
+    return Fraction(value)
+
+
 def rationalize(values, max_denominator=DEFAULT_MAX_DENOMINATOR):
     """Convert a sequence of numbers to exact Fractions (bounded denominator)."""
     return tuple(_as_fraction(v, max_denominator) for v in values)
@@ -89,14 +95,18 @@ class TrackWeights:
 
     @classmethod
     def from_json_dict(cls, doc):
-        """Read :meth:`to_json_dict` output; a malformed document raises ParameterError."""
+        """Read :meth:`to_json_dict` output; a malformed document raises ParameterError.
+
+        ``components`` and ``rest`` are arrays; a weight is a string or a
+        non-boolean number.
+        """
         try:
-            comps = tuple(
-                (Fraction(c["x"]), Fraction(c["y"]), Fraction(c["z"]))
-                for c in doc["components"]
-            )
-            rest = tuple(Fraction(r) for r in doc.get("rest", ()))
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            comps, rest = doc["components"], doc.get("rest", [])
+            if not (isinstance(comps, list) and isinstance(rest, list)):
+                raise TypeError("components and rest must be arrays")
+            comps = tuple(tuple(_json_weight(c[key]) for key in "xyz") for c in comps)
+            rest = tuple(_json_weight(r) for r in rest)
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
             raise ParameterError(
                 f"malformed weights JSON ({type(exc).__name__}: {exc})"
             ) from None

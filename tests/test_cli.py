@@ -2,11 +2,16 @@
 
 from contextlib import redirect_stderr, redirect_stdout
 import io
+from fractions import Fraction
 import json
+from pathlib import Path
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import lamkit
 from lamkit.cli import main
 from lamkit.flat_surface import build_double_polygon, surface_to_json
 
@@ -271,8 +276,13 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
     if probe == "precision-env-not-a-number":
         monkeypatch.setenv("LAMKIT_PRECISION", "abc")
         return ["build", "--genus", "2"]
-    assert probe == "weights-without-components"
-    path.write_text(json.dumps({"rest": []}))
+    weights = {
+        "weights-without-components": {"rest": []},
+        "weights-rest-a-string": {"components": [{"x": "1", "y": "0", "z": "1"}], "rest": "12"},
+        "weights-boolean-entry": {"components": [{"x": True, "y": "0", "z": "1"}]},
+        "weights-infinite-entry": {"components": [{"x": float("inf"), "y": "0", "z": "1"}]},
+    }
+    path.write_text(json.dumps(weights[probe]))
     return ["twist-limit", "--weights", str(path)]
 
 
@@ -291,6 +301,9 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
         "tol-inf",
         "precision-env-not-a-number",
         "weights-without-components",
+        "weights-rest-a-string",
+        "weights-boolean-entry",
+        "weights-infinite-entry",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(probe, tmp_path, capsys, monkeypatch):
@@ -431,3 +444,64 @@ def test_cylinders_on_mutated_surface_json(tmp_path_factory, mutations):
     assert err == "" if code == 0 else (err.startswith("error: ") and err.count("\n") == 1)
     if code == 0:
         json.loads(out, parse_constant=_reject_constant)
+
+
+# mutations of the components of a valid weights document: ("weight",
+# component, key, value), ("component", index, value), or ("triples", x),
+# which gives every component the weights (x, 1, x + 1)
+_WEIGHT = st.one_of(
+    st.sampled_from(["1", "3/2", "0", "-1", "1/0", "nan", "Infinity", "", "12", "1e-400"]),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e300, 5e-324]),
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.dictionaries(st.sampled_from("xyz"), st.integers(0, 2), max_size=3),
+)
+_COMPONENT_MUTATION = st.one_of(
+    st.tuples(st.just("weight"), st.integers(0, 1), st.sampled_from("xyz"), _WEIGHT),
+    st.tuples(st.just("component"), st.integers(0, 1), _WEIGHT),
+    st.tuples(st.just("triples"), st.sampled_from(["1/7", "1e-400", "5e-324", "1e300"])),
+)
+
+
+def _mutate_components(components, mutation):
+    kind, *where = mutation
+    if kind == "weight" and isinstance(components[where[0]], dict):
+        components[where[0]][where[1]] = where[2]
+    elif kind == "component":
+        components[where[0]] = where[1]
+    elif kind == "triples":
+        x = Fraction(where[0])
+        components[:] = [{"x": str(x), "y": "1", "z": str(x + 1)} for _ in components]
+
+
+@_PROPERTY
+@given(
+    st.lists(_COMPONENT_MUTATION, max_size=3),
+    st.one_of(st.none(), _WEIGHT),
+    st.one_of(st.just(["1/3"]), st.lists(_WEIGHT, max_size=2), _WEIGHT),
+)
+def test_twist_limit_on_mutated_weights_json(tmp_path_factory, mutations, components, rest):
+    doc = {"components": [{"x": "2", "y": "3", "z": "5"}, {"x": "1/2", "y": "0", "z": "1/2"}]}
+    for mutation in mutations:
+        _mutate_components(doc["components"], mutation)
+    if components is not None:
+        doc["components"] = components
+    doc["rest"] = rest
+    path = tmp_path_factory.getbasetemp() / "weights.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_quietly(["twist-limit", f"--weights={path}", "--k=50"])
+    assert code in (0, 1, 2)
+    assert err == "" if code == 0 else (err.startswith("error: ") and err.count("\n") == 1)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = str(Path(lamkit.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); import lamkit.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -9,6 +9,7 @@ honest iteration on one seed and against the error law on many.
 
 from fractions import Fraction
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -20,7 +21,7 @@ from lamkit.dynamics import (
     direction_foliation,
     foliation_entries,
     iterate_trace,
-    lift_matrix,
+    min_pairwise_distance,
     numerical_rank_ratio,
     twist_limit,
 )
@@ -214,15 +215,44 @@ def test_fold_symmetry_of_the_core_coordinates(surface):
             assert float(a.distance(b)) < 1e-33
 
 
-def test_injectivity_on_the_fundamental_arc(surface):
+def _all_pairs_min_distance(classes):
+    """Reference: the smallest max-abs distance over all pairs of float lifts."""
     import numpy as np
 
-    s = surface(2)
-    samples = circle_samples(s, 180)
-    lifts = lift_matrix([cls for _, cls in samples])
+    lifts = np.array([[float(v) for v in cls.normalized()] for cls in classes])
     diffs = np.max(np.abs(lifts[:, None, :] - lifts[None, :, :]), axis=2)
     np.fill_diagonal(diffs, np.inf)
-    assert float(diffs.min()) > 1e-10
+    return float(diffs.min())
+
+
+def test_injectivity_on_the_fundamental_arc(surface):
+    # every lift coordinate is monotone along the arc, so the closest pair of
+    # samples is a neighbouring pair and the neighbour scan gives the same float
+    for g in (2, 3, 4):
+        for count in (3, 180, 720):
+            classes = [cls for _, cls in circle_samples(surface(g), count)]
+            distance = min_pairwise_distance(classes)
+            assert repr(distance) == repr(_all_pairs_min_distance(classes))
+            assert distance > 1e-10
+
+
+def test_min_pairwise_distance_memory_is_flat(surface):
+    classes = [cls for _, cls in circle_samples(surface(2), 3000)]
+    tracemalloc.start()
+    try:
+        min_pairwise_distance(classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_circle_checks_need_enough_classes(surface):
+    classes = [cls for _, cls in circle_samples(surface(2), 3)]
+    with pytest.raises(ParameterError):
+        min_pairwise_distance(classes[:1])
+    with pytest.raises(ParameterError):
+        numerical_rank_ratio(classes[:2])
 
 
 def test_rank_two_within_arcs(surface):

@@ -21,7 +21,7 @@ import mpmath
 from . import __version__, acceptance, affine, amalgam, curves, dynamics, flat_surface, obstruction
 from .errors import EdgeWordError, LamkitError, ParameterError
 from .precision import mpf_str, resolve_precision
-from .traintrack import TrackWeights
+from .traintrack import TrackWeights, exact_fraction
 
 USAGE_EXIT = 2
 DIAGNOSTIC_EXIT = 1
@@ -61,13 +61,6 @@ def _load_surface(args):
     return flat_surface.build_double_polygon(args.genus, precision=args.precision)
 
 
-def _parse_number(token):
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"{token!r} is not a finite number") from None
-
-
 def _num_str(x):
     if isinstance(x, Fraction):
         return str(x)
@@ -80,12 +73,8 @@ def _num_str(x):
 
 def cmd_build(args):
     surface = flat_surface.build_double_polygon(args.genus, precision=args.precision)
-    _write(surface_text(surface), args.out)
+    _write(flat_surface.surface_to_json(surface) + "\n", args.out)
     return 0
-
-
-def surface_text(surface):
-    return flat_surface.surface_to_json(surface) + "\n"
 
 
 def cmd_cylinders(args):
@@ -209,7 +198,7 @@ def cmd_witness(args):
         raise ParameterError(f"--tol must be positive and finite, got {args.tol}")
     surface = _load_surface(args)
     w = obstruction.vertical_heights(surface)
-    v = tuple(_parse_number(tok) for tok in args.bvec.split(","))
+    v = tuple(exact_fraction(tok) for tok in args.bvec.split(","))
     if len(v) != surface.genus:
         raise ParameterError(f"--bvec needs {surface.genus} entries, got {len(v)}")
     result = obstruction.contradiction_witness(v, w, tol=args.tol)
@@ -356,7 +345,9 @@ def main(argv=None):
         args.precision = bits
         with mpmath.workprec(bits):
             return args.handler(args)
-    except (ParameterError, EdgeWordError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, EdgeWordError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError, RecursionError) as exc:
+        # the last two: an input file that does not decode, or JSON nested too deeply
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except LamkitError as exc:

@@ -19,12 +19,20 @@ cylinders.
 ``validate`` guarantees finite, strictly convex polygons, so each polygon's
 edges form two monotone chains (level rising, level falling), a level meets at
 most one edge of each, and a chord's edges are found by one bisect per chain.
-It remembers the last few valid surface values (an equal surface, such as a
-JSON round trip, is not checked again); an invalid one raises on every call.
-Strip widths and core endpoints are read off per-edge line rows, each width
-once (a strip between the same two edges as the strip below it reuses the
-width at their common level).  Bisects over levels, chains and strips compare
-exact order keys (:func:`_order_key`); tolerance decisions stay mpf tests.
+It decides cone angles exactly, by sign tests: each is 2*pi times the number of
+full turns of the edge vectors around its corner cycle, and the angle excess
+2*pi*(2g-2) is the Euler count of the gluing.  It remembers the last few valid
+surface values (an equal surface, such as a JSON round trip, is not checked
+again); an invalid one raises on every call.
+
+A decomposition needs mpf coordinates.  Circumferences and core endpoints are
+read off per-edge line rows, four line evaluations per strip.  It is checked
+once against the area: the cylinders' c * h must sum to it, which shows a
+missing or doubled strip.  A per-cylinder trapezoid check would add nothing,
+since strip widths are affine in the level: (w_lo + w_hi) / 2 * h = w_mid * h,
+which holds whenever the cylinder's strip heights agree.  Bisects over levels,
+chains and strips compare exact order keys (:func:`_order_key`); tolerance
+decisions stay mpf tests.
 """
 
 import bisect
@@ -197,63 +205,72 @@ def area(surface):
         return sum(abs(_shoelace(poly)) for poly in surface.polygons)
 
 
+def _partners(surface):
+    """The edge glued to each edge, both ways."""
+    partner = {}
+    for one, other in surface.gluings:
+        partner[one], partner[other] = other, one
+    return partner
+
+
 def vertex_classes(surface):
-    """Vertex identification classes under the gluings (the cone points).
-
-    The translation matching edge ``(p, e)`` with ``(q, f)`` sends the start
-    of ``e`` to the end of ``f`` and vice versa, which is where the
-    identifications below come from.
-    """
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for p, poly in enumerate(surface.polygons):
-        for i in range(len(poly)):
-            parent[(p, i)] = (p, i)
-    for (p, e), (q, f) in surface.gluings:
-        np_, nq = len(surface.polygons[p]), len(surface.polygons[q])
-        union((p, e), (q, (f + 1) % nq))
-        union((p, (e + 1) % np_), (q, f))
-    classes = {}
-    for key in parent:
-        classes.setdefault(find(key), []).append(key)
-    return list(classes.values())
+    """Vertex identification classes under the gluings (the cone points) of a surface
+    whose every edge is glued, each the cycle of its corners.  The translation matching
+    edge ``(p, i-1)`` with ``(q, f)`` sends vertex ``i`` of polygon ``p``, the end of the
+    first, to the start of the second, so corner ``(p, i)`` is followed by ``(q, f)``."""
+    partner, sizes = _partners(surface), [len(poly) for poly in surface.polygons]
+    seen, classes = set(), []
+    for start in ((p, i) for p, n in enumerate(sizes) for i in range(n)):
+        cycle, corner = [], start
+        while corner not in seen:
+            seen.add(corner)
+            cycle.append(corner)
+            corner = partner[(corner[0], (corner[1] - 1) % sizes[corner[0]])]
+        if cycle:
+            classes.append(cycle)
+    return classes
 
 
-def _interior_angle(poly, i):
-    n = len(poly)
-    vx, vy = poly[i]
-    ux, uy = poly[(i - 1) % n][0] - vx, poly[(i - 1) % n][1] - vy
-    wx, wy = poly[(i + 1) % n][0] - vx, poly[(i + 1) % n][1] - vy
-    cross = ux * wy - uy * wx
-    dot = ux * wx + uy * wy
-    return mpmath.atan2(abs(cross), dot)
+def _turns(surface, vectors):
+    """Per vertex class, its turn count k and first-order angle defect, from the glued
+    edges' vectors.  Turning counterclockwise from the outgoing edge e_i(p) through the
+    interior angle reaches -e_{i-1}(p), which the gluing matches with the next outgoing
+    edge e_f(q).  On strictly convex polygons each turn lies strictly between 0 and pi,
+    so k counts the turns from the lower half-plane (y < 0, or y = 0 and x < 0) into the
+    upper one.  The cone angle is 2*pi*k less the defect, the class's sum of the angles
+    from -e_{i-1}(p) to e_f(q) to first order (cross / dot; infinite if not opposite)."""
+    below = {key: y < 0 or (y == 0 and x < 0) for key, (x, y) in vectors.items()}
+    counts = []
+    for cycle in vertex_classes(surface):
+        turns, defect = 0, mpmath.mpf(0)
+        for (p, i), nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            (vx, vy), (wx, wy) = vectors[(p, (i - 1) % len(surface.polygons[p]))], vectors[nxt]
+            dot = vx * wx + vy * wy
+            defect += (vx * wy - vy * wx) / dot if dot < 0 else mpmath.inf
+            turns += below[(p, i)] and not below[nxt]
+        counts.append((turns, defect))
+    return counts
 
 
 def cone_angles(surface):
-    """Total interior angle at each identified vertex class."""
+    """Total interior angle at each identified vertex class of a valid surface:
+    2*pi times the class's exact turn count (see :func:`validate`)."""
     with mpmath.workprec(surface.precision):
-        angles = []
-        for cls in vertex_classes(surface):
-            total = mpmath.mpf(0)
-            for p, i in cls:
-                total += _interior_angle(surface.polygons[p], i)
-            angles.append(total)
-        return angles
+        vectors = {key: surface.edge_vector(*key) for key in _partners(surface)}
+        return [2 * mpmath.pi * k for k, _ in _turns(surface, vectors)]
 
 
 def validate(surface):
-    """Check all structural invariants; raise InvalidSurfaceError on failure."""
+    """Check all structural invariants; raise InvalidSurfaceError on failure.
+
+    Polygons are finite, counterclockwise and strictly convex, and every edge is
+    glued once to a translation-opposite edge (both within ``DEFAULT_TOLERANCE``
+    of the diameter).  Cone angles are decided exactly, with sign tests and no
+    trigonometry: each vertex class turns 2*pi*k with k >= 1 counted from its
+    corner cycle (:func:`_turns`), its first-order angle defect stays
+    within 2*pi*100*``DEFAULT_TOLERANCE``, and the Euler count of the gluing
+    holds, V - E + 2 = 2 - 2g, which is the angle excess 2*pi*(2g-2).
+    """
     # checked on every call: with genus 2.0 a surface equals a remembered valid one
     if not isinstance(surface.genus, int) or surface.genus < 2:
         raise InvalidSurfaceError(f"genus must be an integer >= 2, got {surface.genus!r}")
@@ -269,8 +286,7 @@ def _validated(surface):
         if bad is not None:
             raise InvalidSurfaceError(f"vertex {bad} of polygon {p} is not finite")
     with mpmath.workprec(surface.precision):
-        scale = _diameter(surface)
-        slack = scale * mpmath.mpf(DEFAULT_TOLERANCE)
+        slack = _diameter(surface) * mpmath.mpf(DEFAULT_TOLERANCE)
         for p, poly in enumerate(surface.polygons):
             if len(poly) < 3:
                 raise InvalidSurfaceError(f"polygon {p} has fewer than 3 vertices")
@@ -285,36 +301,30 @@ def _validated(surface):
                 if cross <= slack:
                     raise InvalidSurfaceError(f"polygon {p} is not strictly convex at corner {i}")
 
-        seen = {}
+        vectors = {}
         for (p, e), (q, f) in surface.gluings:
             for key in ((p, e), (q, f)):
-                if key in seen:
+                if key in vectors:
                     raise InvalidSurfaceError(f"edge {key} appears in more than one gluing")
-                seen[key] = True
-            vx, vy = surface.edge_vector(p, e)
-            wx, wy = surface.edge_vector(q, f)
+                vectors[key] = surface.edge_vector(*key)
+            (vx, vy), (wx, wy) = vectors[(p, e)], vectors[(q, f)]
             if abs(vx + wx) > slack or abs(vy + wy) > slack:
                 raise InvalidSurfaceError(
                     f"glued edges ({p},{e}) and ({q},{f}) are not translation-opposite"
                 )
         total_edges = sum(len(poly) for poly in surface.polygons)
-        if len(seen) != total_edges:
+        if len(vectors) != total_edges:
             raise InvalidSurfaceError("some edge is missing from the gluings")
 
-        two_pi = 2 * mpmath.pi
-        excess = mpmath.mpf(0)
-        for angle in cone_angles(surface):
-            multiple = angle / two_pi
-            if abs(multiple - mpmath.nint(multiple)) > DEFAULT_TOLERANCE * 100:
+        cycles = _turns(surface, vectors)
+        bound = 2 * mpmath.pi * DEFAULT_TOLERANCE * 100
+        for turns, defect in cycles:
+            if abs(defect) > bound:
                 raise InvalidSurfaceError("cone angle is not an integer multiple of 2*pi")
-            if mpmath.nint(multiple) < 1:
+            if turns < 1:
                 raise InvalidSurfaceError("cone angle below 2*pi")
-            excess += angle - two_pi
-        expected = two_pi * (2 * surface.genus - 2)
-        if abs(excess - expected) > DEFAULT_TOLERANCE * 100 * max(1, abs(expected)):
-            raise InvalidSurfaceError(
-                f"angle excess {excess} does not match 2*pi*(2g-2) = {expected}"
-            )
+        if 2 * len(cycles) != total_edges - 4 * surface.genus:
+            raise InvalidSurfaceError(f"{len(cycles)} cone points: excess is not 2*pi*(2g-2)")
     return True
 
 
@@ -344,8 +354,11 @@ def _order_key(x, bits):
 
 
 def _key_bits(surface):
-    """``bits`` for :func:`_order_key`: the precision or the widest vertex mantissa."""
-    coords = (mpmath.mpmathify(c) for v in surface.all_vertices() for c in v)
+    """``bits`` for :func:`_order_key`: the precision or the widest vertex mantissa.
+    A coordinate that is not an mpf raises DecompositionError."""
+    coords = [c for v in surface.all_vertices() for c in v]
+    if not all(isinstance(c, mpmath.mpf) for c in coords):
+        raise DecompositionError("vertex coordinates must be mpf values")
     return max(surface.precision, *(c._mpf_[3] for c in coords))
 
 
@@ -360,9 +373,7 @@ def _edge_table(surface, direction, slack, bits):
     glued to it, the level shift of the gluing (end of the edge to start of its
     partner), the edge's start (level, along) and its (level, along) extent;
     and the polygon's rising and falling chains (see :func:`_crossing_edges`)."""
-    partner = {}
-    for one, other in surface.gluings:
-        partner[one], partner[other] = other, one
+    partner = _partners(surface)
     table, chains = [], []
     for p, poly in enumerate(surface.polygons):
         rows, spans = [], ([], [])
@@ -475,10 +486,6 @@ def _build_strips(direction, chains, levels, bits):
     return strips, mids
 
 
-def _strip_width(rows, strip, level):
-    return _on_line(rows[strip.edge_hi], level) - _on_line(rows[strip.edge_lo], level)
-
-
 def cylinder_decomposition(surface, direction):
     """Decompose the surface into maximal flat cylinders.
 
@@ -497,8 +504,7 @@ def _decomposition_cached(surface, direction):
     with mpmath.workprec(surface.precision):
         bits = _key_bits(surface)
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
-        n_edges = sum(len(p) for p in surface.polygons)
-        cap = 64 * n_edges + 256
+        cap = 64 * sum(len(p) for p in surface.polygons) + 256
         table, chains = _edge_table(surface, direction, slack, bits)
         levels, keys = _critical_levels(surface, direction, table, chains, slack, cap, bits)
         strips, mids = _build_strips(direction, chains, levels, bits)
@@ -518,16 +524,6 @@ def _decomposition_cached(surface, direction):
             next_strip.append(first[q] + j)
         if sorted(next_strip) != list(range(len(strips))):
             raise DecompositionError("strip return map is not a bijection")
-
-        # each strip's widths at its two levels, in strip order: a strip between
-        # the same two edges as the strip below it shares their common level
-        sides = [(s.polygon, s.edge_lo, s.edge_hi) for s in strips]
-        w_lo, w_hi = [], []
-        for k, s in enumerate(strips):
-            rows = table[s.polygon]
-            shared = k and sides[k - 1] == sides[k]
-            w_lo.append(w_hi[-1] if shared else _strip_width(rows, s, s.level_lo))
-            w_hi.append(_strip_width(rows, s, s.level_hi))
 
         offset = _CORE_OFFSET[direction]
         seen = [False] * len(strips)
@@ -549,18 +545,19 @@ def _decomposition_cached(surface, direction):
             if max(abs(h - height) for h in heights) > slack:
                 raise DecompositionError("strips of one cylinder have unequal heights")
             circumference = mpmath.mpf(0)
-            cyl_area = mpmath.mpf(0)
             core_segments = []
             for j, s, h in zip(orbit, members, heights):
-                rows = table[s.polygon]
-                circumference += _strip_width(rows, s, mids[j])
-                cyl_area += (w_lo[j] + w_hi[j]) / 2 * h
+                lo_row, hi_row = (table[s.polygon][e] for e in (s.edge_lo, s.edge_hi))
+                circumference += _on_line(hi_row, mids[j]) - _on_line(lo_row, mids[j])
                 core_level = s.level_lo + h * offset.numerator / offset.denominator
-                lo, hi = (_on_line(rows[e], core_level) for e in (s.edge_lo, s.edge_hi))
+                lo, hi = _on_line(lo_row, core_level), _on_line(hi_row, core_level)
                 core_segments.append(CoreSegment(s.polygon, core_level, lo, hi))
-            if abs(cyl_area - circumference * height) > slack * max(1, abs(cyl_area)) * 64:
-                raise DecompositionError("cylinder area does not match c * h (tracing bug)")
             cylinders.append((circumference, height, tuple(members), tuple(core_segments)))
+
+        # one tiling check; per cylinder it would repeat the equal-heights test above
+        total = area(surface)
+        if abs(sum(c * h for c, h, *_ in cylinders) - total) > slack * max(1, total) * 64:
+            raise DecompositionError("cylinder areas c * h do not sum to the area (tracing bug)")
 
         def sort_key(cyl):
             base = [seg.level for seg in cyl[3] if seg.polygon == 0]

@@ -19,6 +19,9 @@ from fractions import Fraction
 from .errors import InvalidWeightsError, ParameterError
 
 DEFAULT_MAX_DENOMINATOR = 10**12
+# Fraction expands a decimal exponent to an exact integer of that many digits;
+# beyond Python's own limit on the digits of an integer string, input is refused
+MAX_DECIMAL_EXPONENT = 4300
 
 
 def _as_fraction(value, max_denominator=DEFAULT_MAX_DENOMINATOR):
@@ -35,10 +38,19 @@ def _as_fraction(value, max_denominator=DEFAULT_MAX_DENOMINATOR):
     return exact.limit_denominator(max_denominator)
 
 
-def _json_weight(value):
+def exact_fraction(value):
+    """``Fraction(value)`` for a string or a non-boolean number; anything else, a value
+    that is not a finite number and a decimal exponent beyond ``MAX_DECIMAL_EXPONENT``
+    raise ParameterError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise TypeError(f"weight {value!r} is not a number or a string")
-    return Fraction(value)
+        raise ParameterError(f"{value!r} is not a number or a string")
+    try:
+        exponent = int(value.lower().partition("e")[2] or 0) if isinstance(value, str) else 0
+        if abs(exponent) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(value)
+    except (ArithmeticError, ValueError):
+        raise ParameterError(f"{value!r} is not a finite number") from None
+    raise ParameterError(f"{value!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
 
 
 def rationalize(values, max_denominator=DEFAULT_MAX_DENOMINATOR):
@@ -104,8 +116,8 @@ class TrackWeights:
             comps, rest = doc["components"], doc.get("rest", [])
             if not (isinstance(comps, list) and isinstance(rest, list)):
                 raise TypeError("components and rest must be arrays")
-            comps = tuple(tuple(_json_weight(c[key]) for key in "xyz") for c in comps)
-            rest = tuple(_json_weight(r) for r in rest)
+            comps = tuple(tuple(exact_fraction(c[key]) for key in "xyz") for c in comps)
+            rest = tuple(exact_fraction(r) for r in rest)
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
             raise ParameterError(
                 f"malformed weights JSON ({type(exc).__name__}: {exc})"

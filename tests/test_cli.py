@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 import subprocess
 import sys
+import time
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -263,11 +264,20 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
         return cylinders
     if probe == "missing-in-file":
         return cylinders
+    # a file of 100000 "[" exceeds the JSON decoder's recursion limit; bytes ff fe
+    # do not decode as UTF-8
+    unreadable = {"deeply-nested": b"[" * 100000, "not-utf8": b"\xff\xfe{}"}
+    twist_limit = ["twist-limit", "--weights", str(path)]
+    for kind, data in unreadable.items():
+        if probe.endswith(kind):
+            path.write_bytes(data)
+            return cylinders if probe.startswith("surface") else twist_limit
     witness = {
         "bvec-not-a-number": ["--bvec", "1,abc"],
         "bvec-infinite": ["--bvec", "1,inf"],
         "bvec-zero-denominator": ["--bvec", "1/0,2"],
         "bvec-nan": ["--bvec", "1,nan"],
+        "bvec-huge-exponent": ["--bvec", "1e100000000,1"],
         "tol-nan": ["--bvec", "1,2", "--tol", "nan"],
         "tol-inf": ["--bvec", "1,2", "--tol", "inf"],
     }
@@ -281,9 +291,10 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
         "weights-rest-a-string": {"components": [{"x": "1", "y": "0", "z": "1"}], "rest": "12"},
         "weights-boolean-entry": {"components": [{"x": True, "y": "0", "z": "1"}]},
         "weights-infinite-entry": {"components": [{"x": float("inf"), "y": "0", "z": "1"}]},
+        "weights-huge-exponent": {"components": [{"x": "1", "y": "1e-100000000", "z": "1"}]},
     }
     path.write_text(json.dumps(weights[probe]))
-    return ["twist-limit", "--weights", str(path)]
+    return twist_limit
 
 
 @pytest.mark.parametrize(
@@ -304,10 +315,20 @@ def _bad_input_argv(probe, tmp_path, monkeypatch):
         "weights-rest-a-string",
         "weights-boolean-entry",
         "weights-infinite-entry",
+        "surface-deeply-nested",
+        "surface-not-utf8",
+        "weights-deeply-nested",
+        "weights-not-utf8",
+        "bvec-huge-exponent",
+        "weights-huge-exponent",
     ],
 )
 def test_bad_input_is_a_one_line_usage_error(probe, tmp_path, capsys, monkeypatch):
-    code, out, err = run(capsys, *_bad_input_argv(probe, tmp_path, monkeypatch))
+    argv = _bad_input_argv(probe, tmp_path, monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    if probe.endswith("huge-exponent"):  # an exact 10**100000000 would take hours
+        assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

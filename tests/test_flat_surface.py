@@ -4,14 +4,20 @@ Independent oracles used here:
 
 * area of two unit-side regular n-gons: n / (2 tan(pi/n));
 * total cone angle: 2n corners of interior angle (n-2) pi / n each;
+* the former ``validate``, which summed ``atan2`` interior angles per vertex
+  class (``_atan2_validate``): the exact turn counts give the same verdicts;
+* the former per-cylinder trapezoid check (``_trapezoid_check_holds``): it
+  holds on every decomposition returned;
 * horizontal cylinder data: heights sin(2 pi k / n) and circumferences
   2 cot(pi/n) sin(2 pi k / n), k = 1..g (trigonometric closed forms);
 * vertical heights in genus 2: (sqrt(5)-1)/4 and (3-sqrt(5))/4, derived by
   hand from the pentagon vertex coordinates.
 """
 
+from itertools import accumulate
 import json
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 import pytest
 
@@ -45,7 +51,7 @@ from lamkit.flat_surface import (
     vertex_classes,
 )
 from lamkit.obstruction import vertical_heights
-from lamkit.precision import merge_tolerance
+from lamkit.precision import DEFAULT_TOLERANCE, merge_tolerance
 
 
 def test_build_rejects_small_genus():
@@ -189,23 +195,21 @@ def test_vertices_match_separate_cos_and_sin(bits):
 
 def test_float_coordinates_still_fail_to_decompose(surface):
     # floats are 53-bit values in a 128-bit surface: the gluings do not close
-    # up within the merge slack, which the decomposition reports
+    # up within the merge slack, so a decomposition needs mpf coordinates
     s = surface(2)
     polygons = tuple(tuple((float(x), float(y)) for x, y in p) for p in s.polygons)
     floats = TranslationSurface(s.genus, polygons, s.gluings, s.precision)
     assert validate(floats)
     for direction in (HORIZONTAL, VERTICAL):
-        with pytest.raises(DecompositionError):
+        with pytest.raises(DecompositionError, match="mpf"):
             cylinder_decomposition(floats, direction)
     with pytest.raises(DecompositionError):
         hyperelliptic_symmetry(floats)
 
 
 def test_vertical_strip_widths_are_traced_once(monkeypatch):
-    # _on_line calls per strip: two for the mid-level width, two for the core
-    # endpoints and two for the width at level_hi; two more for the width at
-    # level_lo only where the strip below is in another polygon or between
-    # other edges
+    # _on_line calls per strip: two for the mid-level width and two for the
+    # core endpoints
     calls = []
 
     def counted(row, level):
@@ -215,13 +219,9 @@ def test_vertical_strip_widths_are_traced_once(monkeypatch):
     s = build_double_polygon(8, precision=131)
     monkeypatch.setattr(flat_surface, "_on_line", counted)
     cylinders = _decomposition_cached.__wrapped__(s, VERTICAL)
-    strips = sorted(
-        (st for c in cylinders for st in c.strips), key=lambda st: (st.polygon, st.level_lo)
-    )
-    edges = [(st.polygon, st.edge_lo, st.edge_hi) for st in strips]
-    runs = 1 + sum(a != b for a, b in zip(edges, edges[1:]))
-    assert len(calls) == 6 * len(strips) + 2 * runs
-    assert len(calls) < 6.5 * len(strips)  # 8 per strip when every width was traced anew
+    strips = sum(len(c.strips) for c in cylinders)
+    assert strips == 144
+    assert len(calls) == 4 * strips
 
 
 def _vertex_along(surface, p, e, level, direction):
@@ -438,3 +438,183 @@ def test_custom_precision_is_recorded_and_used():
     assert s.precision == 96
     with pytest.raises(ParameterError):
         build_double_polygon(2, precision=32)
+
+
+def _atan2_validate(surface):
+    """Reference: the former ``validate``, which summed ``atan2`` interior angles
+    over each vertex class and compared the angle excess with 2*pi*(2g-2)."""
+    if not isinstance(surface.genus, int) or surface.genus < 2:
+        raise InvalidSurfaceError("genus")
+    if len(surface.polygons) != 2:
+        raise InvalidSurfaceError("polygons")
+    if not all(mpmath.isfinite(c) for v in surface.all_vertices() for c in v):
+        raise InvalidSurfaceError("finite")
+    with mpmath.workprec(surface.precision):
+        slack = _diameter(surface) * mpmath.mpf(DEFAULT_TOLERANCE)
+        for poly in surface.polygons:
+            n = len(poly)
+            if n < 3 or flat_surface._shoelace(poly) <= 0:
+                raise InvalidSurfaceError("orientation")
+            for i in range(n):
+                (ax, ay), (bx, by), (cx, cy) = (poly[(i + k) % n] for k in range(3))
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= slack:
+                    raise InvalidSurfaceError("convexity")
+        seen = set()
+        for one, other in surface.gluings:
+            if one in seen or other in seen:
+                raise InvalidSurfaceError("gluing")
+            seen |= {one, other}
+            (vx, vy), (wx, wy) = surface.edge_vector(*one), surface.edge_vector(*other)
+            if abs(vx + wx) > slack or abs(vy + wy) > slack:
+                raise InvalidSurfaceError("translation")
+        if len(seen) != sum(len(poly) for poly in surface.polygons):
+            raise InvalidSurfaceError("missing edge")
+
+        def interior(poly, i):
+            n = len(poly)
+            (vx, vy), (px, py), (qx, qy) = poly[i], poly[(i - 1) % n], poly[(i + 1) % n]
+            ux, uy, wx, wy = px - vx, py - vy, qx - vx, qy - vy
+            return mpmath.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+
+        two_pi = 2 * mpmath.pi
+        excess = mpmath.mpf(0)
+        for cls in vertex_classes(surface):
+            angle = sum((interior(surface.polygons[p], i) for p, i in cls), mpmath.mpf(0))
+            multiple = angle / two_pi
+            if abs(multiple - mpmath.nint(multiple)) > DEFAULT_TOLERANCE * 100:
+                raise InvalidSurfaceError("multiple")
+            if mpmath.nint(multiple) < 1:
+                raise InvalidSurfaceError("below")
+            excess += angle - two_pi
+        expected = two_pi * (2 * surface.genus - 2)
+        if abs(excess - expected) > DEFAULT_TOLERANCE * 100 * max(1, abs(expected)):
+            raise InvalidSurfaceError("excess")
+    return True
+
+
+def _verdict(check, surface):
+    try:
+        return check(surface)
+    except InvalidSurfaceError:
+        return "invalid"
+
+
+@pytest.mark.parametrize("bits", [64, 128, 517, 2048, 4096])
+def test_validation_verdicts_match_atan2_on_the_family(bits):
+    # the atan2 reference takes most of the time: a wrong genus only at low precision
+    for g in range(2, 25):
+        s = build_double_polygon(g, precision=bits)
+        assert _verdict(validate, s) is _verdict(_atan2_validate, s) is True
+        for genus in (g - 1, g + 1) if bits <= 128 else ():
+            wrong = TranslationSurface(genus, s.polygons, s.gluings, s.precision)
+            assert _verdict(validate, wrong) == _verdict(_atan2_validate, wrong) == "invalid"
+
+
+def _bad_surfaces(s):
+    """Every surface the bad-surface tests above build from the genus-2 surface ``s``."""
+    polys = [list(p) for p in s.polygons]
+    with mpmath.workprec(s.precision):
+        c, t = mpmath.cos(mpmath.mpf("0.1")), mpmath.sin(mpmath.mpf("0.1"))
+        rotated = tuple(tuple((c * x - t * y, t * x + c * y) for x, y in p) for p in s.polygons)
+        notched, shifted = [list(p) for p in polys], [list(p) for p in polys]
+        notched[0][3] = (polys[0][3][0], polys[0][3][1] - 1)
+        shifted[0][2] = (polys[0][2][0] + mpmath.mpf("0.01"), polys[0][2][1])
+    floats = tuple(tuple((float(x), float(y)) for x, y in p) for p in s.polygons)
+    clockwise = (tuple(reversed(s.polygons[0])), s.polygons[1])
+    shapes = [(2, rotated), (2, floats), (2, notched), (2, shifted), (2, clockwise)]
+    shapes += [(3, s.polygons), (3.0, s.polygons)]
+    for bad in ("nan", "inf", "-inf"):
+        broken = [list(p) for p in polys]
+        broken[1][3] = (broken[1][3][0], mpmath.mpf(bad))
+        shapes.append((2, broken))
+    return [
+        TranslationSurface(genus, tuple(map(tuple, p)), s.gluings, s.precision)
+        for genus, p in shapes
+    ]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_validation_verdicts_match_atan2_on_the_bad_surfaces(surface, g):
+    verdicts = []
+    for s in _bad_surfaces(surface(g)):
+        verdicts.append(_verdict(validate, s))
+        assert verdicts[-1] == _verdict(_atan2_validate, s)
+    assert True in verdicts and "invalid" in verdicts
+
+
+def _circle_polygon_surface(gaps, bits):
+    """A convex polygon with vertices on the unit circle, the k-th at the angle
+    2*pi*(gaps[0] + ... + gaps[k-1]) / sum(gaps), glued edge k to edge k of its
+    point reflection: n = len(gaps) edge pairs, one cone point for odd n and two
+    for even n, so genus (n - 1) // 2."""
+    with mpmath.workprec(bits):
+        scale = 2 * mpmath.pi / mpmath.fsum(gaps)
+        verts = tuple(mpmath.cos_sin(scale * a) for a in accumulate(gaps[:-1], initial=0))
+        polygons = (verts, tuple((-x, -y) for x, y in verts))
+    gluings = tuple(((0, k), (1, k)) for k in range(len(gaps)))
+    return TranslationSurface((len(gaps) - 1) // 2, polygons, gluings, bits)
+
+
+_GAPS = st.lists(
+    st.sampled_from([1e-6, 1e-4, 1e-3, 1e-2]) | st.floats(0.05, 1), min_size=5, max_size=8
+)
+# (polygon, vertex counted from the start of the shortest edge, axis, multiple of
+# the gluing slack DEFAULT_TOLERANCE * diameter); a nudged end of a short edge turns
+# it by the most, which the cone-angle defect bound has to catch
+_NUDGE = st.tuples(
+    st.integers(0, 1), st.integers(0, 1) | st.integers(0, 7), st.integers(0, 1), st.floats(-3, 3)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_GAPS, st.lists(_NUDGE, max_size=3), st.none() | st.integers(1, 4),
+       st.sampled_from([64, 128, 300]))
+def test_validation_verdicts_match_atan2_on_mutated_surfaces(gaps, nudges, genus, bits):
+    s = _circle_polygon_surface(gaps, bits)
+    polys = [list(p) for p in s.polygons]
+    shortest = gaps.index(min(gaps))
+    with mpmath.workprec(bits):
+        step = _diameter(s) * mpmath.mpf(DEFAULT_TOLERANCE)
+        for p, i, axis, multiple in nudges:
+            k = (shortest + i) % len(gaps)
+            vertex = list(polys[p][k])
+            vertex[axis] += step * multiple
+            polys[p][k] = tuple(vertex)
+    mutated = TranslationSurface(
+        s.genus if genus is None else genus, tuple(map(tuple, polys)), s.gluings, bits
+    )
+    assert _verdict(validate, mutated) == _verdict(_atan2_validate, mutated)
+
+
+def _trapezoid_check_holds(surface, cylinders, direction):
+    """Reference: the former per-cylinder check, the strips' trapezoid areas
+    (w_lo + w_hi) / 2 * h summed against c * h within 64 merge slacks."""
+    with mpmath.workprec(surface.precision):
+        slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
+        for c in cylinders:
+            cyl_area = mpmath.mpf(0)
+            for s in c.strips:
+                lo, hi = (
+                    _vertex_along(surface, s.polygon, s.edge_hi, level, direction)
+                    - _vertex_along(surface, s.polygon, s.edge_lo, level, direction)
+                    for level in (s.level_lo, s.level_hi)
+                )
+                cyl_area += (lo + hi) / 2 * s.height
+            if abs(cyl_area - c.circumference * c.height) > 64 * slack * max(1, abs(cyl_area)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("bits", [64, 128, 517, 2048])
+@pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
+def test_trapezoid_check_holds_on_every_decomposition(direction, bits):
+    for g in range(2, 11):
+        s = build_double_polygon(g, precision=bits)
+        assert _trapezoid_check_holds(s, cylinder_decomposition(s, direction), direction)
+
+
+def test_tiling_check_catches_a_wrong_area(monkeypatch):
+    s = build_double_polygon(3, precision=140)
+    monkeypatch.setattr(flat_surface, "area", lambda surface: 1.001 * area(surface))
+    with pytest.raises(DecompositionError, match="sum to the area"):
+        _decomposition_cached.__wrapped__(s, VERTICAL)

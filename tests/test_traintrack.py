@@ -7,8 +7,10 @@ import pytest
 
 from lamkit.errors import InvalidWeightsError, ParameterError
 from lamkit.traintrack import (
+    MAX_DECIMAL_EXPONENT,
     TrackWeights,
     curve_class,
+    exact_fraction,
     intersection_with_component,
     multitwist_step,
     rationalize,
@@ -127,3 +129,17 @@ def test_rationalize_bounds_denominators():
     assert vals[0] == Fraction(1, 8)
     assert vals[1] == Fraction(1, 3)
     assert all(v.denominator <= 100 for v in vals)
+
+
+def test_exact_fraction_bounds_decimal_exponents():
+    e = MAX_DECIMAL_EXPONENT
+    assert exact_fraction(f"1e{e}") == 10**e
+    assert exact_fraction(f" -2.5E-{e} ") == Fraction(-5, 2 * 10**e)
+    assert exact_fraction("3/4") == Fraction(3, 4) and exact_fraction(0.5) == Fraction(1, 2)
+    # underscores are digit separators for Fraction, so they count towards the exponent
+    for text in (f"1e{e + 1}", f"1e-{e + 1}", "1e1_0000", "1e100000000"):
+        with pytest.raises(ParameterError, match="decimal exponent"):
+            exact_fraction(text)
+    for bad in ("1/0", "nan", "inf", "1e", "1ee5", True, None, float("inf")):
+        with pytest.raises(ParameterError):
+            exact_fraction(bad)

@@ -1,21 +1,23 @@
-"""Time surface building, the cylinder decompositions, the core crossing count and
-the symmetry check over genus and precision.
+"""Time surface building, validation, the cylinder decompositions, the core crossing
+count and the symmetry check over genus and precision.
 
 Usage, from the repository root:
 
-    python3 tools/bench_decomposition.py [OUT]
+    python3 tools/bench_decomposition.py [OUT [BASELINE]]
 
 For every (genus, precision) pair it times, in one fresh run, building the
-double-(2g+1)-gon surface (validation included), the horizontal
-decomposition, the vertical decomposition, ``derive_intersection_matrix``
-and ``hyperelliptic_symmetry``; the last two run on the decompositions just
-made, so they time the crossing count and the symmetry matching alone.  The
-validation memo and the decomposition cache are cleared before each run.
-It records the median of ``RUNS`` runs in
-wall-clock seconds, the machine, the Python and mpmath versions and mpmath's
-backend, and the least-squares exponent of time against genus between
-``FIT[0]`` and ``FIT[1]``.  The result goes to OUT (default
-``BENCH_decomposition.json`` in the repository root).
+double-(2g+1)-gon surface (validation included), validating it again with the
+validation memo cleared, the horizontal decomposition, the vertical
+decomposition, ``derive_intersection_matrix`` and ``hyperelliptic_symmetry``;
+the last two run on the decompositions just made, so they time the crossing
+count and the symmetry matching alone.  The validation memo and the
+decomposition cache are cleared before each run.  It records the median of
+``RUNS`` runs in wall-clock seconds, the machine, the Python and mpmath
+versions and mpmath's backend, and the least-squares exponent of time against
+genus between ``FIT[0]`` and ``FIT[1]``.  The result goes to OUT (default
+``BENCH_decomposition.json`` in the repository root).  BASELINE, a result file
+this script wrote for an earlier commit, is copied into OUT under ``baseline``
+so that one file holds before and after numbers.
 """
 
 import json
@@ -39,7 +41,7 @@ GENERA = tuple(range(2, 17)) + (20, 24, 28, 32, 40, 48, 56, 64)
 PRECISIONS = (128, 1024)
 RUNS = 5
 FIT = (24, 64)
-STAGES = ("build", "decompose_h", "decompose_v", "crossings", "symmetry")
+STAGES = ("build", "validate", "decompose_h", "decompose_v", "crossings", "symmetry")
 
 
 def one_run(genus, bits):
@@ -55,6 +57,8 @@ def one_run(genus, bits):
         return result
 
     surface = timed(flat_surface.build_double_polygon, genus, bits)
+    flat_surface._validated.cache_clear()
+    timed(flat_surface.validate, surface)
     timed(flat_surface.cylinder_decomposition, surface, flat_surface.HORIZONTAL)
     timed(flat_surface.cylinder_decomposition, surface, flat_surface.VERTICAL)
     timed(curves.derive_intersection_matrix, surface)
@@ -83,7 +87,7 @@ def environment():
     }
 
 
-def main(out):
+def main(out, baseline=None):
     results = {}
     for bits in PRECISIONS:
         rows = []
@@ -110,8 +114,10 @@ def main(out):
         "environment": environment(),
         "results": results,
     }
+    if baseline:
+        doc["baseline"] = json.loads(Path(baseline).read_text())
     Path(out).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else ROOT / "BENCH_decomposition.json")
+    main(*(sys.argv[1:3] or [ROOT / "BENCH_decomposition.json"]))

@@ -14,7 +14,12 @@ full boundary-to-boundary chord, so the critical levels in each polygon are
 exactly the closure of the vertex levels under transport across glued edges.
 Consecutive critical levels bound trapezoidal strips; the first-return map
 of the straight-line flow permutes the strips, and its orbits are the
-cylinders.
+cylinders.  A gluing translates levels, so the map goes by order along glued
+edges: the k-th strip leaving through an edge enters through the k-th strip
+of its partner.  The symmetry check tries every assignment of polygons that
+the point reflection allows and compares strips by order, since the
+reflection reverses level order; a reflected surface that does not decompose
+raises.
 
 ``validate`` guarantees finite, strictly convex polygons, so each polygon's
 edges form two monotone chains (level rising, level falling), a level meets at
@@ -30,16 +35,16 @@ read off per-edge line rows, four line evaluations per strip.  It is checked
 once against the area: the cylinders' c * h must sum to it, which shows a
 missing or doubled strip.  A per-cylinder trapezoid check would add nothing,
 since strip widths are affine in the level: (w_lo + w_hi) / 2 * h = w_mid * h,
-which holds whenever the cylinder's strip heights agree.  Bisects over levels,
-chains and strips compare exact order keys (:func:`_order_key`); tolerance
-decisions stay mpf tests.
+which holds whenever the cylinder's strip heights agree.  Bisects over levels
+and chains compare exact order keys (:func:`_order_key`); tolerance decisions
+stay mpf tests.
 """
 
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, takewhile
+from itertools import product
 import json
 
 import mpmath
@@ -400,19 +405,8 @@ def _chain(p, spans, slack, bits):
     return starts, [_order_key(s[1] - slack, bits) for s in spans], [s[2] for s in spans]
 
 
-def _find_level(levels, keys, value, key, slack):
-    """Index of the lowest level within ``slack`` of ``value`` (order key ``key``)
-    in the sorted list, whose order keys are ``keys``, or None.  Levels lie more
-    than ``slack`` apart, so only two can match."""
-    i = bisect.bisect_left(keys, key)
-    for j in (i - 1, i):
-        if 0 <= j < len(levels) and abs(levels[j] - value) <= slack:
-            return j
-    return None
-
-
 def _critical_levels(surface, direction, table, chains, slack, cap, bits):
-    """Vertex levels of each polygon, closed under transport across gluings, and keys.
+    """Vertex levels of each polygon, closed under transport across gluings.
 
     A critical level with its chord endpoint in the interior of an edge
     continues into the partner polygon; repeating until stable reproduces
@@ -424,10 +418,11 @@ def _critical_levels(surface, direction, table, chains, slack, cap, bits):
     queue = []
 
     def insert(p, level):
+        # levels lie more than slack apart, so only the two around the bisect point can match
         key = _order_key(level, bits)
-        if _find_level(levels[p], keys[p], level, key, slack) is not None:
+        i = bisect.bisect_left(keys[p], key)
+        if any(0 <= j < len(levels[p]) and abs(levels[p][j] - level) <= slack for j in (i - 1, i)):
             return False
-        i = bisect.bisect_left(keys[p], key)  # an equal key would have merged
         keys[p].insert(i, key)
         levels[p].insert(i, level)
         queue.append((p, level, key))
@@ -445,7 +440,7 @@ def _critical_levels(surface, direction, table, chains, slack, cap, bits):
                     f"{direction} direction is not completely periodic "
                     f"(separatrix levels fail to close up)"
                 )
-    return levels, keys
+    return levels
 
 
 def _crossing_edges(chains, key):
@@ -506,23 +501,28 @@ def _decomposition_cached(surface, direction):
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
         cap = 64 * sum(len(p) for p in surface.polygons) + 256
         table, chains = _edge_table(surface, direction, slack, bits)
-        levels, keys = _critical_levels(surface, direction, table, chains, slack, cap, bits)
+        levels = _critical_levels(surface, direction, table, chains, slack, cap, bits)
         strips, mids = _build_strips(direction, chains, levels, bits)
 
-        # first-return map on strips: exit through the high-along edge.  The
-        # strips of polygon q are its consecutive level pairs, from first[q] on.
-        first = list(accumulate((len(ls) - 1 for ls in levels), initial=0))
-        next_strip = []
-        for s in strips:
-            q, shift = table[s.polygon][s.edge_hi][:2]
-            level = s.level_lo + shift
-            j = _find_level(levels[q], keys[q], level, _order_key(level, bits), slack)
-            if j is None or j == len(levels[q]) - 1:
+        # first-return map on strips: exit through the high-along edge.  A gluing
+        # translates levels, so the k-th strip leaving through an edge is the k-th
+        # entering through its partner, both in level order.
+        leaving, entering = {}, {}
+        for i, s in enumerate(strips):
+            leaving.setdefault((s.polygon, s.edge_hi), []).append(i)
+            entering.setdefault((s.polygon, s.edge_lo), []).append(i)
+        partner, next_strip = _partners(surface), {}
+        for (p, e), out in leaving.items():
+            shift, into = table[p][e][1], entering.get(partner[(p, e)], [])
+            next_strip.update(zip(out, into))
+            if len(into) != len(out) or any(
+                abs(strips[i].level_lo + shift - strips[j].level_lo) > slack
+                for i, j in zip(out, into)
+            ):
                 raise DecompositionError(
                     "transported strip does not match any strip (closure bug)"
                 )
-            next_strip.append(first[q] + j)
-        if sorted(next_strip) != list(range(len(strips))):
+        if sorted(next_strip.values()) != list(range(len(strips))):
             raise DecompositionError("strip return map is not a bijection")
 
         offset = _CORE_OFFSET[direction]
@@ -576,65 +576,57 @@ def hyperelliptic_symmetry(surface):
     """True iff point reflection through the center is a self-map fixing
     every horizontal and every vertical cylinder.
 
-    The surface is validated first; invalid input raises rather than
-    returning False.
+    Every assignment is tried that sends each polygon's reflected vertices to
+    a cyclic shift of a different polygon's (within ``DEFAULT_TOLERANCE`` of
+    the diameter) and glued edges to glued edges.  The reflection reverses
+    level order and swaps each strip's two edges, so an assignment fixes every
+    cylinder exactly when each polygon's strips, reversed with their edges
+    mapped, are the image polygon's strips in level order, cylinder for
+    cylinder.  The surface is validated first; invalid input raises rather than
+    returning False, and so does a reflected surface that does not decompose.
     """
     validate(surface)
     with mpmath.workprec(surface.precision):
         verts = surface.all_vertices()
         cx = sum(v[0] for v in verts) / len(verts)
         cy = sum(v[1] for v in verts) / len(verts)
-        twice = {VERTICAL: 2 * cx, HORIZONTAL: 2 * cy}  # doubling is exact
         slack = mpmath.mpf(DEFAULT_TOLERANCE) * max(1, _diameter(surface))
-        bits = _key_bits(surface)
 
-        # match the reflected vertices of each polygon with a cyclic shift of some polygon
-        edge_image, poly_image = {}, {}
-        for p, poly in enumerate(surface.polygons):
+        # per polygon: (image polygon, image of each edge) for every matching cyclic shift
+        matches = []
+        for poly in surface.polygons:
             n = len(poly)
-            images = [(twice[VERTICAL] - x, twice[HORIZONTAL] - y) for x, y in poly]
-            matches = (
-                (q, shift)
+            images = [(2 * cx - x, 2 * cy - y) for x, y in poly]  # doubling is exact
+            matches.append([
+                (q, [(shift + e) % n for e in range(n)])
                 for q, other in enumerate(surface.polygons) if len(other) == n
                 for shift in range(n)
                 if all(abs(tx - wx) <= slack and abs(ty - wy) <= slack
                        for (tx, ty), (wx, wy) in zip(images, other[shift:] + other[:shift]))
-            )
-            found = next(matches, None)
-            if found is None:
-                return False
-            q, shift = found
-            poly_image[p] = q
-            for e in range(n):
-                edge_image[(p, e)] = (q, (shift + e) % n)
+            ])
 
-        gluing_set = {frozenset(pair) for pair in surface.gluings}
-        images = (frozenset(edge_image[e] for e in pair) for pair in surface.gluings)
-        if any(image not in gluing_set for image in images):
-            return False
+    gluings = {frozenset(pair) for pair in surface.gluings}
+    assignments = [
+        a for a in product(*matches)
+        if len({q for q, _ in a}) == len(a)
+        and all(frozenset((a[p][0], a[p][1][e]) for p, e in pair) in gluings
+                for pair in surface.gluings)
+    ]
+    if not assignments:
+        return False
 
-        for direction in DISTINGUISHED_DIRECTIONS:
-            for cyl in cylinder_decomposition(surface, direction):
-                keys = sorted((_order_key(s.level_lo, bits), s.level_lo, s.level_hi, s.polygon)
-                              for s in cyl.strips)
-                for s in cyl.strips:
-                    lo, hi = twice[direction] - s.level_hi, twice[direction] - s.level_lo
-                    if not _has_strip(keys, lo, hi, poly_image[s.polygon], slack, bits):
-                        return False
-        return True
-
-
-def _has_strip(keys, lo, hi, polygon, slack, bits):
-    """Whether a ``(order key, level_lo, level_hi, polygon)`` entry, sorted, matches
-    within ``slack`` on both levels.  Rounded subtraction is monotone, so the
-    entries with a close ``level_lo`` form one run around the bisect point."""
-    i = bisect.bisect_left(keys, (_order_key(lo, bits),))
-
-    def close(k):
-        return abs(lo - k[1]) <= slack
-
-    run = chain(takewhile(close, keys[i:]), takewhile(close, reversed(keys[:i])))
-    return any(k[3] == polygon and abs(hi - k[2]) <= slack for k in run)
+    by_polygon = []  # per direction and polygon: (cylinder, edge_lo, edge_hi) in level order
+    for direction in DISTINGUISHED_DIRECTIONS:
+        rows = [[] for _ in surface.polygons]
+        for c, cyl in enumerate(cylinder_decomposition(surface, direction)):
+            for s in cyl.strips:  # floats order levels fast; the exact level breaks ties
+                rows[s.polygon].append((float(s.level_lo), s.level_lo, c, s.edge_lo, s.edge_hi))
+        by_polygon.append([[row[2:] for row in sorted(ss)] for ss in rows])
+    return any(
+        all([(c, edges[hi], edges[lo]) for c, lo, hi in reversed(strips[p])] == strips[q]
+            for strips in by_polygon for p, (q, edges) in enumerate(a))
+        for a in assignments
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,18 @@ Independent oracles used here:
   class (``_atan2_validate``): the exact turn counts give the same verdicts;
 * the former per-cylinder trapezoid check (``_trapezoid_check_holds``): it
   holds on every decomposition returned;
+* the former slack strip matcher of the symmetry check, made to try every
+  polygon assignment (``_slack_symmetry``): matching strips by level order
+  gives the same verdicts;
 * horizontal cylinder data: heights sin(2 pi k / n) and circumferences
   2 cot(pi/n) sin(2 pi k / n), k = 1..g (trigonometric closed forms);
 * vertical heights in genus 2: (sqrt(5)-1)/4 and (3-sqrt(5))/4, derived by
   hand from the pentagon vertex coordinates.
 """
 
-from itertools import accumulate
+import bisect
+from dataclasses import replace
+from itertools import accumulate, chain, product, takewhile
 import json
 
 from hypothesis import given, settings, strategies as st
@@ -159,7 +164,7 @@ def test_chain_lookup_matches_linear_scan(direction, bits):
             slack = merge_tolerance(bits) * max(1, _diameter(s))
             key_bits = _key_bits(s)
             table, chains = _edge_table(s, direction, slack, key_bits)
-            levels, _ = _critical_levels(s, direction, table, chains, slack, 10**6, key_bits)
+            levels = _critical_levels(s, direction, table, chains, slack, 10**6, key_bits)
             for p, ls in enumerate(levels):
                 probes = ls + [(a + b) / 2 for a, b in zip(ls, ls[1:])]
                 for v in s.polygons[p]:
@@ -618,3 +623,162 @@ def test_tiling_check_catches_a_wrong_area(monkeypatch):
     monkeypatch.setattr(flat_surface, "area", lambda surface: 1.001 * area(surface))
     with pytest.raises(DecompositionError, match="sum to the area"):
         _decomposition_cached.__wrapped__(s, VERTICAL)
+
+
+def test_return_map_refuses_a_missing_level(monkeypatch):
+    # without polygon 1's lowest interior level its strips no longer pair off
+    # with the strips of the edges glued to them
+    critical_levels = flat_surface._critical_levels
+
+    def dropped(*args):
+        levels = critical_levels(*args)
+        del levels[1][1]
+        return levels
+
+    monkeypatch.setattr(flat_surface, "_critical_levels", dropped)
+    s = build_double_polygon(3, precision=140)
+    for direction in (HORIZONTAL, VERTICAL):
+        with pytest.raises(DecompositionError, match="closure bug"):
+            _decomposition_cached.__wrapped__(s, direction)
+
+
+def _has_strip(keys, lo, hi, polygon, slack, bits):
+    """Reference, the former strip lookup of the symmetry check: whether a
+    ``(order key, level_lo, level_hi, polygon)`` entry, sorted, matches within
+    ``slack`` on both levels.  Rounded subtraction is monotone, so the
+    entries with a close ``level_lo`` form one run around the bisect point."""
+    i = bisect.bisect_left(keys, (_order_key(lo, bits),))
+
+    def close(k):
+        return abs(lo - k[1]) <= slack
+
+    run = chain(takewhile(close, keys[i:]), takewhile(close, reversed(keys[:i])))
+    return any(k[3] == polygon and abs(hi - k[2]) <= slack for k in run)
+
+
+def _slack_symmetry(surface):
+    """Reference: the former symmetry check, made to try every polygon assignment
+    that maps gluings to gluings: each strip of each cylinder, reflected, must lie
+    within the slack of a strip of the same cylinder in the image polygon."""
+    validate(surface)
+    with mpmath.workprec(surface.precision):
+        verts = surface.all_vertices()
+        cx = sum(v[0] for v in verts) / len(verts)
+        cy = sum(v[1] for v in verts) / len(verts)
+        twice = {VERTICAL: 2 * cx, HORIZONTAL: 2 * cy}
+        slack = mpmath.mpf(DEFAULT_TOLERANCE) * max(1, _diameter(surface))
+        bits = _key_bits(surface)
+        matches = [
+            [
+                (q, shift)
+                for q, other in enumerate(surface.polygons) if len(other) == len(poly)
+                for shift in range(len(poly))
+                if all(abs(twice[VERTICAL] - x - wx) <= slack
+                       and abs(twice[HORIZONTAL] - y - wy) <= slack
+                       for (x, y), (wx, wy) in zip(poly, other[shift:] + other[:shift]))
+            ]
+            for poly in surface.polygons
+        ]
+        gluing_set = {frozenset(pair) for pair in surface.gluings}
+        for assignment in product(*matches):
+            poly_image = [q for q, _ in assignment]
+            if len(set(poly_image)) < len(poly_image):
+                continue
+            edge_image = {
+                (p, e): (q, (shift + e) % len(surface.polygons[p]))
+                for p, (q, shift) in enumerate(assignment)
+                for e in range(len(surface.polygons[p]))
+            }
+            if any(frozenset(edge_image[e] for e in pair) not in gluing_set
+                   for pair in surface.gluings):
+                continue
+            if all(
+                _has_strip(keys, twice[direction] - s.level_hi, twice[direction] - s.level_lo,
+                           poly_image[s.polygon], slack, bits)
+                for direction in (HORIZONTAL, VERTICAL)
+                for cyl in flat_surface.cylinder_decomposition(surface, direction)
+                for keys in [sorted((_order_key(s.level_lo, bits), s.level_lo, s.level_hi,
+                                     s.polygon) for s in cyl.strips)]
+                for s in cyl.strips
+            ):
+                return True
+        return False
+
+
+def _symmetry_verdict(check, surface):
+    try:
+        return check(surface)
+    except DecompositionError:
+        return "raises"
+
+
+@pytest.mark.parametrize("bits", [64, 128, 517])
+def test_symmetry_matches_the_slack_matcher_on_the_family(bits):
+    for g in range(2, 13):
+        s = build_double_polygon(g, precision=bits)
+        assert hyperelliptic_symmetry(s) is _slack_symmetry(s) is True
+
+
+def test_symmetry_matches_the_slack_matcher_on_circle_polygons():
+    verdicts = []
+    for n in range(5, 13):
+        s = _circle_polygon_surface([1] * n, 128)
+        verdicts.append(_symmetry_verdict(hyperelliptic_symmetry, s))
+        assert verdicts[-1] == _symmetry_verdict(_slack_symmetry, s)
+    assert verdicts == [True] * 8
+
+
+def test_symmetry_matches_the_slack_matcher_on_traded_strips(monkeypatch):
+    # two strips of polygon 0 trade vertical cylinders: the reflection no longer
+    # fixes either cylinder
+    s = build_double_polygon(3, precision=140)
+    decomposition = flat_surface.cylinder_decomposition
+
+    def traded(surface, direction):
+        cyls = list(decomposition(surface, direction))
+        if direction == VERTICAL:
+            strips = [list(cyls[c].strips) for c in (0, 1)]
+            i, j = (next(k for k, st in enumerate(ss) if st.polygon == 0) for ss in strips)
+            strips[0][i], strips[1][j] = strips[1][j], strips[0][i]
+            for c in (0, 1):
+                cyls[c] = replace(cyls[c], strips=tuple(strips[c]))
+        return tuple(cyls)
+
+    assert hyperelliptic_symmetry(s) is _slack_symmetry(s) is True
+    monkeypatch.setattr(flat_surface, "cylinder_decomposition", traded)
+    assert hyperelliptic_symmetry(s) is _slack_symmetry(s) is False
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_symmetric_polygons_swap_under_the_reflection(n):
+    # each regular 2k-gon is also its own point reflection; the reflection of the
+    # surface swaps the two polygons
+    assert hyperelliptic_symmetry(_circle_polygon_surface([1] * n, 128)) is True
+
+
+def test_reflected_surface_that_does_not_decompose_raises():
+    s = _circle_polygon_surface([1, 2] * 4, 128)
+    assert validate(s)
+    with pytest.raises(DecompositionError, match="not completely periodic"):
+        hyperelliptic_symmetry(s)
+
+
+def test_unmatched_polygons_are_refused_before_any_decomposition(monkeypatch):
+    # the regular octagon with opposite sides glued, cut along the diagonal v0-v3
+    # into a quadrilateral and a hexagon: the reflection cannot swap them
+    bits = 128
+    with mpmath.workprec(bits):
+        octagon = [(mpmath.mpf(0), mpmath.mpf(0))]
+        for k in range(7):
+            c, t = mpmath.cos_sin(2 * mpmath.pi * k / 8)
+            octagon.append((octagon[-1][0] + c, octagon[-1][1] + t))
+    polygons = (tuple(octagon[:4]), tuple(octagon[3:] + octagon[:1]))
+    gluings = (((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 3)), ((1, 0), (1, 4)),
+               ((0, 3), (1, 5)))
+    s = TranslationSurface(2, polygons, gluings, bits)
+    assert validate(s)
+    assert [len(cylinder_decomposition(s, d)) for d in (HORIZONTAL, VERTICAL)] == [2, 2]
+    calls = []
+    monkeypatch.setattr(flat_surface, "cylinder_decomposition", lambda *a: calls.append(a))
+    assert hyperelliptic_symmetry(s) is False
+    assert calls == []

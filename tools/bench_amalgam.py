@@ -28,6 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_decomposition import ROOT, environment, exponent  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "src"))
+
 from lamkit import amalgam  # noqa: E402
 
 RUNS = 5

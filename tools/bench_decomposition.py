@@ -3,21 +3,24 @@ count and the symmetry check over genus and precision.
 
 Usage, from the repository root:
 
-    python3 tools/bench_decomposition.py [OUT [BASELINE]]
+    python3 tools/bench_decomposition.py [OUT [PARENT]]
 
-For every (genus, precision) pair it times, in one fresh run, building the
+For every (genus, precision) pair it times, in one run, building the
 double-(2g+1)-gon surface (validation included), validating it again with the
 validation memo cleared, the horizontal decomposition, the vertical
 decomposition, ``derive_intersection_matrix`` and ``hyperelliptic_symmetry``;
 the last two run on the decompositions just made, so they time the crossing
-count and the symmetry matching alone.  The validation memo and the
-decomposition cache are cleared before each run.  It records the median of
-``RUNS`` runs in wall-clock seconds, the machine, the Python and mpmath
-versions and mpmath's backend, and the least-squares exponent of time against
-genus between ``FIT[0]`` and ``FIT[1]``.  The result goes to OUT (default
-``BENCH_decomposition.json`` in the repository root).  BASELINE, a result file
-this script wrote for an earlier commit, is copied into OUT under ``baseline``
-so that one file holds before and after numbers.
+count and the symmetry matching alone.  Each run is a fresh interpreter that
+imports lamkit from one tree's ``src``.  It records the median of ``RUNS`` runs
+in wall-clock seconds, the machine, the Python and mpmath versions and mpmath's
+backend, and the least-squares exponent of time against genus between
+``FIT[0]`` and ``FIT[1]``.  The result goes to OUT (default
+``BENCH_decomposition.json`` in the repository root).
+
+PARENT, the root of another checkout of this repository (an earlier commit), is
+timed in the same sweep: each (genus, precision) pair alternates runs of the two
+trees, the first tree switching from run to run, so that machine drift falls on
+both alike.  Its numbers go into OUT under ``baseline``.
 """
 
 import json
@@ -26,15 +29,14 @@ import os
 from pathlib import Path
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+import mpmath
 
-import mpmath  # noqa: E402
-
-from lamkit import curves, flat_surface  # noqa: E402
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 
 # every genus up to 16, then a ladder to 64; the large genera dominate the run time
 GENERA = tuple(range(2, 17)) + (20, 24, 28, 32, 40, 48, 56, 64)
@@ -43,9 +45,20 @@ RUNS = 5
 FIT = (24, 64)
 STAGES = ("build", "validate", "decompose_h", "decompose_v", "crossings", "symmetry")
 
+# argv: the tree's src, this directory, genus, bits; prints [seconds, lamkit's file]
+_WORKER = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from bench_decomposition import one_run
+from lamkit import flat_surface
+print(json.dumps([one_run(int(sys.argv[3]), int(sys.argv[4])), flat_surface.__file__]))
+"""
+
 
 def one_run(genus, bits):
     """Seconds of each stage, in ``STAGES`` order, on a surface no cache has seen."""
+    from lamkit import curves, flat_surface
+
     flat_surface._validated.cache_clear()
     flat_surface._decomposition_cached.cache_clear()
     seconds = []
@@ -63,6 +76,17 @@ def one_run(genus, bits):
     timed(flat_surface.cylinder_decomposition, surface, flat_surface.VERTICAL)
     timed(curves.derive_intersection_matrix, surface)
     timed(flat_surface.hyperelliptic_symmetry, surface)
+    return seconds
+
+
+def fresh_run(tree, genus, bits):
+    """:func:`one_run` in a fresh interpreter that imports lamkit from ``tree``."""
+    src = (tree / "src").resolve()
+    argv = [sys.executable, "-c", _WORKER, str(src), str(HERE), str(genus), str(bits)]
+    done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True)
+    seconds, module = json.loads(done.stdout)
+    if not Path(module).resolve().is_relative_to(src):
+        raise RuntimeError(f"lamkit was imported from {module}, not from {src}")
     return seconds
 
 
@@ -87,23 +111,38 @@ def environment():
     }
 
 
-def main(out, baseline=None):
-    results = {}
-    for bits in PRECISIONS:
-        rows = []
-        for g in GENERA:
-            runs = [one_run(g, bits) for _ in range(RUNS)]
-            medians = {name: statistics.median(r[k] for r in runs) for k, name in enumerate(STAGES)}
-            rows.append({"genus": g, **{f"{name}_s": round(t, 6) for name, t in medians.items()}})
-            print(bits, g, " ".join(f"{name} {t:.4f}" for name, t in medians.items()), flush=True)
-        fit = [row for row in rows if FIT[0] <= row["genus"] <= FIT[1]]
-        results[str(bits)] = {
-            "rows": rows,
+def results(rows):
+    """Per precision, the rows of one tree and the fitted exponent of each stage."""
+    fitted = {}
+    for bits, table in rows.items():
+        fit = [row for row in table if FIT[0] <= row["genus"] <= FIT[1]]
+        fitted[str(bits)] = {
+            "rows": table,
             "exponent": {
                 name: round(exponent([(r["genus"], r[f"{name}_s"]) for r in fit]), 3)
                 for name in STAGES
             },
         }
+    return fitted
+
+
+def main(out, parent=None):
+    trees = [ROOT] + ([Path(parent)] if parent else [])
+    rows = [{bits: [] for bits in PRECISIONS} for _ in trees]
+    for bits in PRECISIONS:
+        for g in GENERA:
+            runs = [[] for _ in trees]
+            for r in range(RUNS):
+                for t in [(k + r) % len(trees) for k in range(len(trees))]:
+                    runs[t].append(fresh_run(trees[t], g, bits))
+            for t, tree_runs in enumerate(runs):
+                medians = [statistics.median(column) for column in zip(*tree_runs)]
+                rows[t][bits].append(
+                    {"genus": g, **{f"{name}_s": round(m, 6) for name, m in zip(STAGES, medians)}}
+                )
+                label = "parent" if t else "this"
+                stages = " ".join(f"{name} {m:.4f}" for name, m in zip(STAGES, medians))
+                print(bits, g, label, stages, flush=True)
     doc = {
         "topic": "decomposition",
         "unit": "wall-clock seconds, median of runs",
@@ -112,10 +151,10 @@ def main(out, baseline=None):
         "precision_bits": list(PRECISIONS),
         "exponent_fit_genera": list(FIT),
         "environment": environment(),
-        "results": results,
+        "results": results(rows[0]),
     }
-    if baseline:
-        doc["baseline"] = json.loads(Path(baseline).read_text())
+    if parent:
+        doc["baseline"] = {"results": results(rows[1])}
     Path(out).write_text(json.dumps(doc, indent=1) + "\n")
 
 

@@ -36,14 +36,21 @@ once against the area: the cylinders' c * h must sum to it, which shows a
 missing or doubled strip.  A per-cylinder trapezoid check would add nothing,
 since strip widths are affine in the level: (w_lo + w_hi) / 2 * h = w_mid * h,
 which holds whenever the cylinder's strip heights agree.  Bisects over levels
-and chains compare exact order keys (:func:`_order_key`); tolerance decisions
-stay mpf tests.
+and chains compare exact order keys (:func:`_order_key`).
+
+Tolerance tests are filtered: the validation tests and the far-neighbour test of
+the level merge are first computed in IEEE doubles, which decide only where
+their value clears the threshold by more than a stated bound on the distance to
+the mpf value (:func:`_in_doubles`, :func:`_apart_test`).  The unchanged mpf test
+decides every close call, so verdicts and messages are those of the mpf tests.
+A surface object computes its diameter, area and edge partners once, at its
+own precision.
 """
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 import json
 
@@ -187,8 +194,7 @@ def build_double_polygon(g, precision=None):
 # validation
 
 
-def _shoelace(poly):
-    total = mpmath.mpf(0)
+def _shoelace(poly, total=mpmath.mpf(0)):
     n = len(poly)
     for i in range(n):
         x0, y0 = poly[i]
@@ -197,6 +203,23 @@ def _shoelace(poly):
     return total / 2
 
 
+def _per_surface(compute):
+    """``compute(surface)``, evaluated once per surface object at the surface's
+    precision and kept on the object, as ``functools.cached_property`` keeps its
+    values (a lookup by the surface's value would hash every coordinate)."""
+
+    @wraps(compute)
+    def cached(surface):
+        memo = vars(surface)
+        if compute.__name__ not in memo:
+            with mpmath.workprec(surface.precision):
+                memo[compute.__name__] = compute(surface)
+        return memo[compute.__name__]
+
+    return cached
+
+
+@_per_surface
 def _diameter(surface):
     vs = surface.all_vertices()
     xs = [v[0] for v in vs]
@@ -204,14 +227,15 @@ def _diameter(surface):
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
+@_per_surface
 def area(surface):
     """Total flat area: sum of the polygon areas (shoelace formula)."""
-    with mpmath.workprec(surface.precision):
-        return sum(abs(_shoelace(poly)) for poly in surface.polygons)
+    return sum(abs(_shoelace(poly)) for poly in surface.polygons)
 
 
+@_per_surface
 def _partners(surface):
-    """The edge glued to each edge, both ways."""
+    """The edge glued to each edge, both ways (shared: do not modify)."""
     partner = {}
     for one, other in surface.gluings:
         partner[one], partner[other] = other, one
@@ -236,33 +260,29 @@ def vertex_classes(surface):
     return classes
 
 
-def _turns(surface, vectors):
-    """Per vertex class, its turn count k and first-order angle defect, from the glued
-    edges' vectors.  Turning counterclockwise from the outgoing edge e_i(p) through the
-    interior angle reaches -e_{i-1}(p), which the gluing matches with the next outgoing
-    edge e_f(q).  On strictly convex polygons each turn lies strictly between 0 and pi,
-    so k counts the turns from the lower half-plane (y < 0, or y = 0 and x < 0) into the
-    upper one.  The cone angle is 2*pi*k less the defect, the class's sum of the angles
-    from -e_{i-1}(p) to e_f(q) to first order (cross / dot; infinite if not opposite)."""
-    below = {key: y < 0 or (y == 0 and x < 0) for key, (x, y) in vectors.items()}
-    counts = []
-    for cycle in vertex_classes(surface):
-        turns, defect = 0, mpmath.mpf(0)
-        for (p, i), nxt in zip(cycle, cycle[1:] + cycle[:1]):
-            (vx, vy), (wx, wy) = vectors[(p, (i - 1) % len(surface.polygons[p]))], vectors[nxt]
-            dot = vx * wx + vy * wy
-            defect += (vx * wy - vy * wx) / dot if dot < 0 else mpmath.inf
-            turns += below[(p, i)] and not below[nxt]
-        counts.append((turns, defect))
-    return counts
+def _turns(surface):
+    """Each vertex class with its turn count k.  Turning counterclockwise from the
+    outgoing edge e_i(p) through the interior angle reaches -e_{i-1}(p), which the gluing
+    matches with the next outgoing edge e_f(q).  On strictly convex polygons each turn
+    lies strictly between 0 and pi, so k counts the turns from the lower half-plane
+    (y < 0, or y = 0 and x < 0) into the upper one.  An edge's half-plane is decided by
+    comparing its end points, which is exact and agrees with the signs of its rounded
+    mpf vector."""
+    below = {}
+    for p, poly in enumerate(surface.polygons):
+        for e, ((ax, ay), (bx, by)) in enumerate(zip(poly, poly[1:] + poly[:1])):
+            below[(p, e)] = by < ay or (by == ay and bx < ax)
+    return [
+        (cycle, sum(below[c] and not below[nxt] for c, nxt in zip(cycle, cycle[1:] + cycle[:1])))
+        for cycle in vertex_classes(surface)
+    ]
 
 
 def cone_angles(surface):
     """Total interior angle at each identified vertex class of a valid surface:
     2*pi times the class's exact turn count (see :func:`validate`)."""
     with mpmath.workprec(surface.precision):
-        vectors = {key: surface.edge_vector(*key) for key in _partners(surface)}
-        return [2 * mpmath.pi * k for k, _ in _turns(surface, vectors)]
+        return [2 * mpmath.pi * k for _, k in _turns(surface)]
 
 
 def validate(surface):
@@ -272,9 +292,12 @@ def validate(surface):
     glued once to a translation-opposite edge (both within ``DEFAULT_TOLERANCE``
     of the diameter).  Cone angles are decided exactly, with sign tests and no
     trigonometry: each vertex class turns 2*pi*k with k >= 1 counted from its
-    corner cycle (:func:`_turns`), its first-order angle defect stays
-    within 2*pi*100*``DEFAULT_TOLERANCE``, and the Euler count of the gluing
-    holds, V - E + 2 = 2 - 2g, which is the angle excess 2*pi*(2g-2).
+    corner cycle (:func:`_turns`), its first-order angle defect (the sum of
+    cross / dot of its glued edge vectors) stays within
+    2*pi*100*``DEFAULT_TOLERANCE``, and the Euler count of the gluing holds,
+    V - E + 2 = 2 - 2g, which is the angle excess 2*pi*(2g-2).  The tolerance
+    tests run in doubles first (:func:`_in_doubles`); the mpf tests decide
+    every close call.
     """
     # checked on every call: with genus 2.0 a surface equals a remembered valid one
     if not isinstance(surface.genus, int) or surface.genus < 2:
@@ -292,45 +315,99 @@ def _validated(surface):
             raise InvalidSurfaceError(f"vertex {bad} of polygon {p} is not finite")
     with mpmath.workprec(surface.precision):
         slack = _diameter(surface) * mpmath.mpf(DEFAULT_TOLERANCE)
-        for p, poly in enumerate(surface.polygons):
-            if len(poly) < 3:
-                raise InvalidSurfaceError(f"polygon {p} has fewer than 3 vertices")
-            if _shoelace(poly) <= 0:
-                raise InvalidSurfaceError(f"polygon {p} is not counterclockwise")
-            n = len(poly)
-            for i in range(n):
-                ax, ay = poly[i]
-                bx, by = poly[(i + 1) % n]
-                cx, cy = poly[(i + 2) % n]
-                cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-                if cross <= slack:
-                    raise InvalidSurfaceError(f"polygon {p} is not strictly convex at corner {i}")
-
-        vectors = {}
-        for (p, e), (q, f) in surface.gluings:
-            for key in ((p, e), (q, f)):
-                if key in vectors:
-                    raise InvalidSurfaceError(f"edge {key} appears in more than one gluing")
-                vectors[key] = surface.edge_vector(*key)
-            (vx, vy), (wx, wy) = vectors[(p, e)], vectors[(q, f)]
-            if abs(vx + wx) > slack or abs(vy + wy) > slack:
-                raise InvalidSurfaceError(
-                    f"glued edges ({p},{e}) and ({q},{f}) are not translation-opposite"
-                )
-        total_edges = sum(len(poly) for poly in surface.polygons)
-        if len(vectors) != total_edges:
-            raise InvalidSurfaceError("some edge is missing from the gluings")
-
-        cycles = _turns(surface, vectors)
         bound = 2 * mpmath.pi * DEFAULT_TOLERANCE * 100
-        for turns, defect in cycles:
-            if abs(defect) > bound:
-                raise InvalidSurfaceError("cone angle is not an integer multiple of 2*pi")
-            if turns < 1:
-                raise InvalidSurfaceError("cone angle below 2*pi")
-        if 2 * len(cycles) != total_edges - 4 * surface.genus:
-            raise InvalidSurfaceError(f"{len(cycles)} cone points: excess is not 2*pi*(2g-2)")
+        doubles = _in_doubles(surface, slack, bound)
+        try:
+            if doubles is not None:
+                return _tolerance_tests(surface, *doubles)
+        except InvalidSurfaceError:  # a failure or a close call: the mpf tests decide
+            pass
+        return _tolerance_tests(surface, surface, mpmath.mpf(0), 0, slack, slack, bound)
+
+
+def _tolerance_tests(surface, numbers, zero, orient, convex, glued, bound):
+    """The checks of :func:`validate` after finiteness, on the vertices of ``numbers``:
+    ``surface`` itself with the mpf thresholds (``zero`` = 0, ``orient`` = 0, ``convex``
+    = ``glued`` = the gluing slack, ``bound`` the defect bound), or its doubles with
+    each threshold moved by its error bound (:func:`_in_doubles`).  Turn counts are
+    exact, from ``surface``.  Raises InvalidSurfaceError at the first failure."""
+    for p, poly in enumerate(numbers.polygons):
+        if len(poly) < 3:
+            raise InvalidSurfaceError(f"polygon {p} has fewer than 3 vertices")
+        n = len(poly)
+        if _shoelace(poly, zero) <= orient * n * n:
+            raise InvalidSurfaceError(f"polygon {p} is not counterclockwise")
+        for i in range(n):
+            ax, ay = poly[i]
+            bx, by = poly[(i + 1) % n]
+            cx, cy = poly[(i + 2) % n]
+            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            if cross <= convex:
+                raise InvalidSurfaceError(f"polygon {p} is not strictly convex at corner {i}")
+
+    vectors = {}
+    for (p, e), (q, f) in surface.gluings:
+        for key in ((p, e), (q, f)):
+            if key in vectors:
+                raise InvalidSurfaceError(f"edge {key} appears in more than one gluing")
+            vectors[key] = numbers.edge_vector(*key)
+        (vx, vy), (wx, wy) = vectors[(p, e)], vectors[(q, f)]
+        if abs(vx + wx) > glued or abs(vy + wy) > glued:
+            raise InvalidSurfaceError(
+                f"glued edges ({p},{e}) and ({q},{f}) are not translation-opposite"
+            )
+    total_edges = sum(len(poly) for poly in surface.polygons)
+    if len(vectors) != total_edges:
+        raise InvalidSurfaceError("some edge is missing from the gluings")
+
+    classes = _turns(surface)
+    for cycle, turns in classes:
+        defect = zero
+        for (p, i), nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            (vx, vy), (wx, wy) = vectors[(p, (i - 1) % len(surface.polygons[p]))], vectors[nxt]
+            dot = vx * wx + vy * wy
+            defect += (vx * wy - vy * wx) / dot if dot < 0 else mpmath.inf
+        if abs(defect) > bound:
+            raise InvalidSurfaceError("cone angle is not an integer multiple of 2*pi")
+        if turns < 1:
+            raise InvalidSurfaceError("cone angle below 2*pi")
+    if 2 * len(classes) != total_edges - 4 * surface.genus:
+        raise InvalidSurfaceError(f"{len(classes)} cone points: excess is not 2*pi*(2g-2)")
     return True
+
+
+def _in_doubles(surface, slack, bound):
+    """The arguments of :func:`_tolerance_tests` for its run in doubles, or None where
+    the error bounds below do not apply.
+
+    With u = 2^-53, M the largest coordinate, l the shortest edge and N the number of
+    edges (all by max-norm, in doubles), and a working precision of at least 53 bits,
+    each double tested value is within these bounds of the value the mpf test computes:
+    the shoelace sum of an n-gon 4 n^2 u M^2, a corner's cross product 80 u M^2, a sum
+    of glued edge vectors 21 u M, and a class's defect N (9 u M / l + 25 u + N u / 128).
+    The last needs l >= 2^10 slack and l >= 2^-30 M: a glued pair is then opposite
+    within the slack, so each dot product is near -|v|^2 and each term below 2^-8.
+    The thresholds are moved by 2^-50 n^2 M^2, 2^-46 M^2, 2^-48 M and
+    2^-48 N (M / l + N), and scaled by 1 +- 2^-50 for the rounding of the mpf
+    thresholds; M within 2^+-400 keeps underflow out of these bounds."""
+    if surface.precision < 53:
+        return None
+    try:
+        numbers = replace(surface, polygons=tuple(
+            tuple((float(x), float(y)) for x, y in poly) for poly in surface.polygons
+        ))
+    except OverflowError:  # an int or Fraction beyond the doubles (an mpf gives inf)
+        return None
+    big = max((abs(c) for v in numbers.all_vertices() for c in v), default=0.0)
+    short = min((max(map(abs, numbers.edge_vector(p, e)))
+                 for p, poly in enumerate(numbers.polygons) for e in range(len(poly))),
+                default=0.0)
+    s, n = float(slack), sum(len(poly) for poly in numbers.polygons)
+    if not 2.0**-400 <= big <= 2.0**400 or short < max(2.0**10 * s, 2.0**-30 * big):
+        return None
+    return (numbers, 0.0, 2.0**-50 * big * big, s * (1 + 2.0**-50) + 2.0**-46 * big * big,
+            s * (1 - 2.0**-50) - 2.0**-48 * big,
+            float(bound) * (1 - 2.0**-50) - 2.0**-48 * n * (big / short + n))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +442,19 @@ def _key_bits(surface):
     if not all(isinstance(c, mpmath.mpf) for c in coords):
         raise DecompositionError("vertex coordinates must be mpf values")
     return max(surface.precision, *(c._mpf_[3] for c in coords))
+
+
+def _apart_test(tol):
+    """A filter in doubles for the mpf test ``abs(x - y) <= tol`` (or ``< tol``) at the
+    working precision ``prec``: a function of ``float(x)`` and ``float(y)`` that is True
+    only where that test is False, the values being farther apart.  The double
+    difference is within 2^-51 (|x| + |y|) + 2^-1073 of x - y (the last term covers
+    underflow) and the mpf difference within 2^-prec |x - y|, so the function asks the
+    double difference to exceed ``tol`` by 2^-49 (|x| + |y|) + 2^-1070, with ``tol``
+    widened by 2^-50 + 2^(2 - prec) for its own double and the mpf rounding.  Infinite
+    or NaN doubles are never apart."""
+    far = float(tol) * (1 + 2.0**-50 + 2.0 ** (2 - mpmath.mp.prec)) + 2.0**-1070
+    return lambda a, b: abs(a - b) > far + 2.0**-49 * (abs(a) + abs(b))
 
 
 def _on_line(row, level):
@@ -414,17 +504,20 @@ def _critical_levels(surface, direction, table, chains, slack, cap, bits):
     merges into it.  Failure to stabilize within ``cap`` levels means the
     direction is not completely periodic.
     """
-    levels, keys = [[] for _ in surface.polygons], [[] for _ in surface.polygons]
-    queue = []
+    levels, keys, doubles = ([[] for _ in surface.polygons] for _ in range(3))
+    queue, apart = [], _apart_test(slack)
 
     def insert(p, level):
-        # levels lie more than slack apart, so only the two around the bisect point can match
-        key = _order_key(level, bits)
-        i = bisect.bisect_left(keys[p], key)
-        if any(0 <= j < len(levels[p]) and abs(levels[p][j] - level) <= slack for j in (i - 1, i)):
+        # levels lie more than slack apart, so only the two around the bisect point can
+        # match; doubles rule out a far one, the mpf test decides a close one
+        key, double = _order_key(level, bits), float(level)
+        i, ls, ds = bisect.bisect_left(keys[p], key), levels[p], doubles[p]
+        near = [j for j in (i - 1, i) if 0 <= j < len(ls) and not apart(ds[j], double)]
+        if any(abs(ls[j] - level) <= slack for j in near):
             return False
         keys[p].insert(i, key)
         levels[p].insert(i, level)
+        doubles[p].insert(i, double)
         queue.append((p, level, key))
         return True
 
@@ -496,6 +589,12 @@ def cylinder_decomposition(surface, direction):
 
 @lru_cache(maxsize=_DECOMPOSITION_CACHE_SIZE)
 def _decomposition_cached(surface, direction):
+    """:func:`cylinder_decomposition` for a distinguished direction.
+
+    The strip first-return map needs no bijection check and its orbits no closing
+    check: every strip leaves through one edge, the leaving groups' partners are
+    distinct edges and each group passes the count check, so the map is injective
+    on a finite set, a bijection, and the orbits of a bijection close."""
     with mpmath.workprec(surface.precision):
         bits = _key_bits(surface)
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
@@ -522,8 +621,6 @@ def _decomposition_cached(surface, direction):
                 raise DecompositionError(
                     "transported strip does not match any strip (closure bug)"
                 )
-        if sorted(next_strip.values()) != list(range(len(strips))):
-            raise DecompositionError("strip return map is not a bijection")
 
         offset = _CORE_OFFSET[direction]
         seen = [False] * len(strips)
@@ -537,8 +634,6 @@ def _decomposition_cached(surface, direction):
                 seen[i] = True
                 orbit.append(i)
                 i = next_strip[i]
-            if i != start:
-                raise DecompositionError("strip orbit failed to close")
             members = [strips[j] for j in orbit]
             heights = [s.height for s in members]
             height = heights[0]

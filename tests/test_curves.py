@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import mpmath
 import pytest
 
+from lamkit import curves, flat_surface
 from lamkit.curves import (
     _CROSSING_MARGIN,
     WeightedMulticurve,
@@ -218,8 +219,15 @@ def _synthetic_cores(rng, direction, count, polygons=2):
 @pytest.mark.parametrize("bits", [64, 128])
 def test_crossing_margin_pass_matches_all_pairs_reference(bits):
     # one endpoint per trial is moved to margin/2, margin or 2 margin from a
-    # core level of the other direction; both counts must raise alike
+    # core level of the other direction, then in 400 more trials to
+    # margin * (1 -+ 2^-50), which the doubles cannot decide; both counts must
+    # raise alike
     rng = random.Random(20 + bits)
+    for scales in ((0.5, 1, 2), (1 - 2.0**-50, 1 + 2.0**-50)):
+        _margin_trials(rng, bits, scales)
+
+
+def _margin_trials(rng, bits, scales):
     raised = 0
     with mpmath.workprec(bits):
         margin = mpmath.mpf(_CROSSING_MARGIN)
@@ -231,7 +239,7 @@ def test_crossing_margin_pass_matches_all_pairs_reference(bits):
             segments = list(moved[c].core_segments)
             i = rng.randrange(len(segments))
             target = rng.choice([seg for cyl in other for seg in cyl.core_segments])
-            end = target.level + rng.choice((-1, 1)) * margin * rng.choice((0.5, 1, 2))
+            end = target.level + rng.choice((-1, 1)) * margin * rng.choice(scales)
             field = rng.choice(("lo", "hi"))
             seg = segments[i]
             segments[i] = CoreSegment(
@@ -247,6 +255,30 @@ def test_crossing_margin_pass_matches_all_pairs_reference(bits):
             else:
                 assert _crossing_matrix(hs, vs, margin) == expected
     assert 0 < raised < 400
+
+
+def test_family_runs_without_mpf_fallbacks(monkeypatch):
+    # a too loose error bound would show here as a failure, not as a slowdown:
+    # validation and the margin pass decide every test of the family in doubles
+    mpf_runs, undecided = [], []
+    tests, apart_test = flat_surface._tolerance_tests, curves._apart_test
+
+    def counted_tests(surface, numbers, *args):
+        mpf_runs.append(numbers is surface)
+        return tests(surface, numbers, *args)
+
+    def counted_apart(tol):
+        apart = apart_test(tol)
+        return lambda a, b: apart(a, b) or undecided.append((a, b))
+
+    monkeypatch.setattr(flat_surface, "_tolerance_tests", counted_tests)
+    monkeypatch.setattr(curves, "_apart_test", counted_apart)
+    flat_surface._validated.cache_clear()  # surfaces of earlier tests are remembered valid
+    for bits in (128, 1024, 2048):
+        for g in range(2, 17):
+            derive_intersection_matrix(build_double_polygon(g, precision=bits))
+    assert len(mpf_runs) == 3 * 15 and not any(mpf_runs)
+    assert undecided == []
 
 
 @pytest.mark.xfail(

@@ -401,6 +401,17 @@ def test_one_geometry_pass_validates_once():
     assert _validated.cache_info().misses == misses + 1
 
 
+def test_surface_facts_are_kept_and_read_at_the_surface_precision():
+    # asked first at 53 bits, the diameter and the area are still those of 211 bits,
+    # and a second request returns the kept objects
+    s, t = (build_double_polygon(5, precision=211) for _ in range(2))
+    with mpmath.workprec(53):
+        facts = _diameter(s), area(s), flat_surface._partners(s)
+    with mpmath.workprec(211):
+        assert (_diameter(t), area(t), flat_surface._partners(t)) == facts
+    assert all(a is b for a, b in zip(facts, (_diameter(s), area(s), flat_surface._partners(s))))
+
+
 def test_direction_must_be_distinguished(surface):
     with pytest.raises(ParameterError):
         cylinder_decomposition(surface(2), "diagonal")
@@ -515,6 +526,60 @@ def test_validation_verdicts_match_atan2_on_the_family(bits):
             assert _verdict(validate, wrong) == _verdict(_atan2_validate, wrong) == "invalid"
 
 
+def _outcome(check, surface):
+    """True, or the message of the InvalidSurfaceError ``check`` raises."""
+    try:
+        return check(surface)
+    except InvalidSurfaceError as exc:
+        return str(exc)
+
+
+def _mpf_outcome(monkeypatch, surface):
+    """Reference: the outcome of the mpf tests alone, with no run in doubles."""
+    with monkeypatch.context() as m:
+        m.setattr(flat_surface, "_in_doubles", lambda *args: None)
+        return _outcome(_validated.__wrapped__, surface)
+
+
+def _flat_corner(s, i, target):
+    """``s`` with vertex i + 1 of polygon 0 moved across the chord from vertex i to
+    vertex i + 2 until the cross product of corner i is ``target``, and vertex i + 1
+    of polygon 1 moved by the point reflection, so glued edges stay opposite."""
+    polys = [list(p) for p in s.polygons]
+    (ax, ay), (bx, by), (cx, cy) = polys[0][i : i + 3]
+    dx, dy = cx - ax, cy - ay
+    t = ((bx - ax) * dy - (by - ay) * dx - target) / (dx * dx + dy * dy)
+    polys[0][i + 1] = (bx - t * dy, by + t * dx)
+    polys[1][i + 1] = (1 - polys[0][i + 1][0], -polys[0][i + 1][1])
+    return tuple(map(tuple, polys))
+
+
+@pytest.mark.parametrize("bits", [64, 128, 2048])
+def test_validation_matches_the_mpf_tests_at_the_threshold(monkeypatch, bits):
+    # a corner's cross product or a gluing sum at slack * (1 -+ 2^-50): the doubles
+    # cannot decide it, so the verdict and the message must be the mpf tests'
+    outcomes = []
+    for g in (2, 5):
+        s = build_double_polygon(g, precision=bits)
+        with mpmath.workprec(bits):
+            slack = _diameter(s) * mpmath.mpf(DEFAULT_TOLERANCE)
+            shapes = [_flat_corner(s, 1, slack * k) for k in (1 - 2.0**-50, 1 + 2.0**-50)]
+            for k, axis in product((1 - 2.0**-50, 1 + 2.0**-50), (0, 1)):
+                polys = [list(p) for p in s.polygons]
+                vertex = list(polys[0][2])
+                vertex[axis] += slack * k
+                polys[0][2] = tuple(vertex)
+                shapes.append(tuple(map(tuple, polys)))
+        for polygons in shapes:
+            nudged = TranslationSurface(g, polygons, s.gluings, bits)
+            outcomes.append(_outcome(validate, nudged))
+            assert outcomes[-1] == _mpf_outcome(monkeypatch, nudged)
+    if bits > 64:  # the rounding of the nudged coordinates is far below slack * 2^-50
+        assert outcomes.count(True) == 6
+        assert outcomes.count("polygon 0 is not strictly convex at corner 1") == 2
+        assert sum("not translation-opposite" in str(v) for v in outcomes) == 4
+
+
 def _bad_surfaces(s):
     """Every surface the bad-surface tests above build from the genus-2 surface ``s``."""
     polys = [list(p) for p in s.polygons]
@@ -616,6 +681,41 @@ def test_trapezoid_check_holds_on_every_decomposition(direction, bits):
     for g in range(2, 11):
         s = build_double_polygon(g, precision=bits)
         assert _trapezoid_check_holds(s, cylinder_decomposition(s, direction), direction)
+
+
+@pytest.mark.parametrize("bits", [128, 2048])
+@pytest.mark.parametrize("direction", [HORIZONTAL, VERTICAL])
+def test_level_merge_matches_the_mpf_insert_at_the_slack(monkeypatch, direction, bits):
+    # a vertex of the double pentagon moved along the level axis by slack * (1 -+ 2^-50)
+    # plants a level that far from another one: it merges, or the levels fail to close
+    # up, as with the mpf test alone
+    s = build_double_polygon(2, precision=bits)
+    with mpmath.workprec(bits):
+        slack = merge_tolerance(bits) * max(1, _diameter(s))
+
+    def closure(surface):
+        with mpmath.workprec(bits):
+            key_bits = _key_bits(surface)
+            table, chains = _edge_table(surface, direction, slack, key_bits)
+            try:
+                return _critical_levels(surface, direction, table, chains, slack, 100, key_bits)
+            except DecompositionError as exc:
+                return str(exc)
+
+    outcomes = []
+    for k in (1 - 2.0**-50, 1 + 2.0**-50):
+        polys = [list(p) for p in s.polygons]
+        vertex = list(polys[0][2])
+        with mpmath.workprec(bits):
+            vertex[1 if direction == HORIZONTAL else 0] += slack * k
+        polys[0][2] = tuple(vertex)
+        nudged = TranslationSurface(2, tuple(map(tuple, polys)), s.gluings, bits)
+        outcomes.append(closure(nudged))
+        with monkeypatch.context() as m:
+            m.setattr(flat_surface, "_apart_test", lambda tol: lambda a, b: False)
+            assert closure(nudged) == outcomes[-1]
+    assert list(map(len, outcomes[0])) == list(map(len, closure(s)))
+    assert "not completely periodic" in outcomes[1]
 
 
 def test_tiling_check_catches_a_wrong_area(monkeypatch):

@@ -300,9 +300,13 @@ def parse_word(text, rank, edge=None):
     Each whitespace-separated token is ``L:`` or ``R:`` followed by atoms
     ``g<i>`` (generator, 1-based, at most ``rank``) or ``z`` (the edge
     generator of that factor), each with an optional integer exponent.  A
-    token ``1`` is the identity, as ``format_word`` prints it.
+    token ``1`` is the identity, as ``format_word`` prints it.  The edge
+    words' letters must name generators in 1..``rank`` too.
     """
     edge = edge if edge is not None else EdgeWords()
+    bad = [abs(x) for x in edge.left + edge.right if not 1 <= abs(x) <= rank]
+    if bad:
+        raise ParameterError(f"edge word letter g{bad[0]} out of range 1..{rank}")
     parts = []
     for token in text.split():
         if token == "1":

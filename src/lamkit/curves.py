@@ -26,16 +26,15 @@ where h and w are the horizontal/vertical height vectors.
 
 A segment endpoint within the crossing margin of a core of the other
 direction raises DecompositionError.  That margin pass tests each endpoint
-against its two bisect neighbours among the core levels of its polygon,
-found by order key (``flat_surface._order_key``, at the polygon's widest
-mantissa); then four strict comparisons of order keys decide each crossing.
-Each margin test runs in doubles first and falls back to the mpf test unless
-the double difference clears the margin by 2^-49 (|x| + |y|) and the
-margin's own rounding (``flat_surface._apart_test``); on the family none
-falls back.
+against its two bisect neighbours among the core levels of its polygon
+(``flat_surface._neighbours``), keyed by ``(double, value)`` pairs
+(``flat_surface._key``: monotone rounding makes their order exact); then four
+strict comparisons of those pairs decide each crossing.  Each margin test runs
+in doubles first and falls back to the mpf test unless the double difference
+clears the margin by 2^-49 (|x| + |y|) and the margin's own rounding
+(``flat_surface._apart_test``); on the family none falls back.
 """
 
-import bisect
 from dataclasses import dataclass
 
 import mpmath
@@ -47,7 +46,8 @@ from .flat_surface import (
     cylinder_decomposition,
     _apart_test,
     _diameter,
-    _order_key,
+    _key,
+    _neighbours,
 )
 
 # margin (relative to surface diameter) below which a core crossing is
@@ -136,16 +136,6 @@ def _by_polygon(cylinders):
     return groups
 
 
-def _near_a_level(levels, end, margin, apart):
-    """Whether a ``(key, level, double)`` triple of the sorted ``levels`` lies within
-    ``margin`` of the triple ``end``; rounded subtraction is monotone, so two bisect
-    neighbours decide.  ``apart`` (:func:`lamkit.flat_surface._apart_test`) rules out a
-    far neighbour in doubles, and the mpf test decides a close one."""
-    i = bisect.bisect_left(levels, end[:1])
-    near = [j for j in (i - 1, i) if 0 <= j < len(levels) and not apart(levels[j][2], end[2])]
-    return any(abs(levels[j][1] - end[1]) < margin for j in near)
-
-
 def _crossing_matrix(horizontal, vertical, margin):
     """Crossing counts of every horizontal core with every vertical core; only
     segments in one polygon can cross."""
@@ -153,15 +143,17 @@ def _crossing_matrix(horizontal, vertical, margin):
     counts = [[0] * len(vertical) for _ in horizontal]
     apart = _apart_test(margin)
     for p in hs.keys() & vs.keys():
-        values = [x for _, s in hs[p] + vs[p] for x in (s.level, s.lo, s.hi)]
-        bits = max(x._mpf_[3] for x in values)
-        keyed = [(_order_key(x, bits), x, float(x)) for x in values]
+        keyed = [_key(x) for _, s in hs[p] + vs[p] for x in (s.level, s.lo, s.hi)]
         h, v = keyed[: 3 * len(hs[p])], keyed[3 * len(hs[p]) :]
         for near, far in ((h, v), (v, h)):
             levels = sorted(far[0::3])
-            if any(_near_a_level(levels, end, margin, apart) for end in near[1::3] + near[2::3]):
-                raise DecompositionError("core curves meet a segment endpoint: degenerate crossing")
-        triples = [(a[0], b[0], c[0]) for a, b, c in zip(keyed[0::3], keyed[1::3], keyed[2::3])]
+            for end in near[1::3] + near[2::3]:
+                # doubles rule out a far neighbour, the mpf test decides a close one
+                if any(abs(x - end[1]) < margin for x in _neighbours(levels, end, apart)[1]):
+                    raise DecompositionError(
+                        "core curves meet a segment endpoint: degenerate crossing"
+                    )
+        triples = list(zip(keyed[0::3], keyed[1::3], keyed[2::3]))
         vk = [(j, *t) for (j, _), t in zip(vs[p], triples[len(hs[p]) :])]
         for (i, _), (hl, hlo, hhi) in zip(hs[p], triples):
             for j, vl, vlo, vhi in vk:

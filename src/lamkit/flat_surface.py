@@ -36,15 +36,17 @@ once against the area: the cylinders' c * h must sum to it, which shows a
 missing or doubled strip.  A per-cylinder trapezoid check would add nothing,
 since strip widths are affine in the level: (w_lo + w_hi) / 2 * h = w_mid * h,
 which holds whenever the cylinder's strip heights agree.  Bisects over levels
-and chains compare exact order keys (:func:`_order_key`).
+and chains, and the symmetry check's sort, compare ``(double, value)`` keys
+(:func:`_key`), exact wherever ``float`` is monotone on the compared values:
+on mpf values, and on int and Fraction values within the double range.
 
-Tolerance tests are filtered: the validation tests and the far-neighbour test of
-the level merge are first computed in IEEE doubles, which decide only where
-their value clears the threshold by more than a stated bound on the distance to
-the mpf value (:func:`_in_doubles`, :func:`_apart_test`).  The unchanged mpf test
-decides every close call, so verdicts and messages are those of the mpf tests.
-A surface object computes its diameter, area and edge partners once, at its
-own precision.
+Tolerance tests are filtered: the validation tests and the neighbour test of the
+level merge (:func:`_neighbours`, on the keys' doubles) are first computed in
+IEEE doubles, which decide only where their value clears the threshold by more
+than a stated bound on the distance to the mpf value (:func:`_in_doubles`,
+:func:`_apart_test`).  The unchanged mpf test decides every close call, so
+verdicts and messages are those of the mpf tests.  A surface object computes
+its diameter, area and edge partners once, at its own precision.
 """
 
 import bisect
@@ -422,26 +424,22 @@ def _along(point, direction):
     return point[1 - _LEVEL_AXIS[direction]]
 
 
-def _order_key(x, bits):
-    """A tuple ordered as the finite real ``x`` among values whose mantissas have
-    at most ``bits`` bits: sign, binary magnitude, then the mantissa widened to
-    ``bits`` bits, negated below zero.  Equal keys mean equal values.  A value
-    without ``_mpf_`` (a float) goes through ``mpmath.mpf`` first, exactly."""
-    sign, man, exp, bc = x._mpf_ if hasattr(x, "_mpf_") else mpmath.mpf(x)._mpf_
-    if not man:
-        return (0, 0, 0)
-    if sign:
-        return (-1, -(exp + bc), -(man << (bits - bc)))
-    return (1, exp + bc, man << (bits - bc))
+def _key(x):
+    """``(float(x), x)``, ordered as ``x``: rounding to a double is monotone, so the
+    doubles decide where they differ and the value breaks their ties (at +-inf and
+    0.0 too).  Needs a ``float`` that is monotone on the compared values, as it is
+    on mpf values and on int and Fraction values within the double range."""
+    return (float(x), x)
 
 
-def _key_bits(surface):
-    """``bits`` for :func:`_order_key`: the precision or the widest vertex mantissa.
-    A coordinate that is not an mpf raises DecompositionError."""
-    coords = [c for v in surface.all_vertices() for c in v]
-    if not all(isinstance(c, mpmath.mpf) for c in coords):
-        raise DecompositionError("vertex coordinates must be mpf values")
-    return max(surface.precision, *(c._mpf_[3] for c in coords))
+def _neighbours(keys, key, apart):
+    """The bisect point of ``key`` in the sorted ``keys`` and the values of its two
+    neighbours there that ``apart`` (:func:`_apart_test`, on the doubles) does not
+    rule out.  The values are sorted and rounded subtraction is monotone, so if any
+    value lies within a tolerance of ``key``'s value, one of its two neighbours does."""
+    i = bisect.bisect_left(keys, key)
+    return i, [keys[j][1] for j in (i - 1, i)
+               if 0 <= j < len(keys) and not apart(keys[j][0], key[0])]
 
 
 def _apart_test(tol):
@@ -463,7 +461,7 @@ def _on_line(row, level):
     return aa + (level - la) / dl * da
 
 
-def _edge_table(surface, direction, slack, bits):
+def _edge_table(surface, direction, slack):
     """Per polygon, one row ``(q, shift, la, aa, dl, da)`` per edge: the polygon
     glued to it, the level shift of the gluing (end of the edge to start of its
     partner), the edge's start (level, along) and its (level, along) extent;
@@ -482,67 +480,65 @@ def _edge_table(surface, direction, slack, bits):
             if la != lb:
                 spans[la > lb].append((min(la, lb), max(la, lb), e))
         table.append(rows)
-        chains.append([_chain(p, sorted(side), slack, bits) for side in spans])
+        chains.append([_chain(p, sorted(side), slack) for side in spans])
     return table, chains
 
 
-def _chain(p, spans, slack, bits):
+def _chain(p, spans, slack):
     if any(hi > lo for (_, hi, _), (lo, _, _) in zip(spans, spans[1:])):
         raise DecompositionError(
             f"level chords of polygon {p} cross more than two edges (is the polygon convex?)"
         )
-    starts = [_order_key(s[0] + slack, bits) for s in spans]
-    return starts, [_order_key(s[1] - slack, bits) for s in spans], [s[2] for s in spans]
+    starts = [_key(s[0] + slack) for s in spans]
+    return starts, [_key(s[1] - slack) for s in spans], [s[2] for s in spans]
 
 
-def _critical_levels(surface, direction, table, chains, slack, cap, bits):
+def _critical_levels(surface, direction, table, chains, slack, cap):
     """Vertex levels of each polygon, closed under transport across gluings.
 
     A critical level with its chord endpoint in the interior of an edge
     continues into the partner polygon; repeating until stable reproduces
     the full set of separatrix levels; one within ``slack`` of a known level
     merges into it.  Failure to stabilize within ``cap`` levels means the
-    direction is not completely periodic.
+    direction is not completely periodic.  Returns each polygon's levels, sorted.
     """
-    levels, keys, doubles = ([[] for _ in surface.polygons] for _ in range(3))
+    keys = [[] for _ in surface.polygons]  # per polygon, the sorted keys of its levels
     queue, apart = [], _apart_test(slack)
 
     def insert(p, level):
-        # levels lie more than slack apart, so only the two around the bisect point can
-        # match; doubles rule out a far one, the mpf test decides a close one
-        key, double = _order_key(level, bits), float(level)
-        i, ls, ds = bisect.bisect_left(keys[p], key), levels[p], doubles[p]
-        near = [j for j in (i - 1, i) if 0 <= j < len(ls) and not apart(ds[j], double)]
-        if any(abs(ls[j] - level) <= slack for j in near):
+        # levels lie more than slack apart, so only the two neighbours can match;
+        # doubles rule out a far one, the mpf test decides a close one
+        key = _key(level)
+        i, near = _neighbours(keys[p], key, apart)
+        if any(abs(x - level) <= slack for x in near):
             return False
         keys[p].insert(i, key)
-        levels[p].insert(i, level)
-        doubles[p].insert(i, double)
-        queue.append((p, level, key))
+        queue.append((p, key))
         return True
 
     for p, poly in enumerate(surface.polygons):
         for v in poly:
             insert(p, _level(v, direction))
     while queue:
-        p, lv, key = queue.pop()
+        p, key = queue.pop()
         for e in _crossing_edges(chains[p], key):
             q, shift = table[p][e][:2]
-            if insert(q, lv + shift) and sum(len(ls) for ls in levels) > cap:
+            if insert(q, key[1] + shift) and sum(map(len, keys)) > cap:
                 raise DecompositionError(
                     f"{direction} direction is not completely periodic "
                     f"(separatrix levels fail to close up)"
                 )
-    return levels
+    return [[level for _, level in ks] for ks in keys]
 
 
 def _crossing_edges(chains, key):
-    """Edges, in index order, whose span holds the level keyed ``key`` with slack to spare.
+    """Edges, in index order, whose span holds the level keyed ``key`` (:func:`_key`)
+    with slack to spare.
 
     A chain is three lists over the edges whose level rises (or falls), sorted
-    by span: the order keys of ``lo + slack`` and ``hi - slack``, and the edge
-    index.  Its spans do not overlap, so only the last edge starting below the
-    level can hold it."""
+    by span: the ``(double, value)`` keys of ``lo + slack`` and ``hi - slack``,
+    and the edge index.  Its spans do not overlap, so only the last edge
+    starting below the level can hold it."""
     found = []
     for starts, ends, edges in chains:
         k = bisect.bisect_left(starts, key) - 1
@@ -551,7 +547,7 @@ def _crossing_edges(chains, key):
     return sorted(found)
 
 
-def _build_strips(direction, chains, levels, bits):
+def _build_strips(direction, chains, levels):
     """One strip per pair of consecutive levels, between the two edges that cross
     its mid-level, and the mid-levels.  ``edge_lo`` has the smaller along
     coordinate: in a counterclockwise polygon that is the falling edge of a
@@ -561,7 +557,7 @@ def _build_strips(direction, chains, levels, bits):
         rising = set(chains[p][0][2])  # the edge indices of the rising chain
         for la, lb in zip(ls, ls[1:]):
             mid = (la + lb) / 2
-            edges = _crossing_edges(chains[p], _order_key(mid, bits))
+            edges = _crossing_edges(chains[p], _key(mid))
             if len(edges) != 2:
                 raise DecompositionError(
                     f"level chord of polygon {p} crossed {len(edges)} edges; "
@@ -595,13 +591,14 @@ def _decomposition_cached(surface, direction):
     check: every strip leaves through one edge, the leaving groups' partners are
     distinct edges and each group passes the count check, so the map is injective
     on a finite set, a bijection, and the orbits of a bijection close."""
+    if not all(isinstance(c, mpmath.mpf) for v in surface.all_vertices() for c in v):
+        raise DecompositionError("vertex coordinates must be mpf values")
     with mpmath.workprec(surface.precision):
-        bits = _key_bits(surface)
         slack = merge_tolerance(surface.precision) * max(1, _diameter(surface))
         cap = 64 * sum(len(p) for p in surface.polygons) + 256
-        table, chains = _edge_table(surface, direction, slack, bits)
-        levels = _critical_levels(surface, direction, table, chains, slack, cap, bits)
-        strips, mids = _build_strips(direction, chains, levels, bits)
+        table, chains = _edge_table(surface, direction, slack)
+        levels = _critical_levels(surface, direction, table, chains, slack, cap)
+        strips, mids = _build_strips(direction, chains, levels)
 
         # first-return map on strips: exit through the high-along edge.  A gluing
         # translates levels, so the k-th strip leaving through an edge is the k-th
@@ -714,9 +711,9 @@ def hyperelliptic_symmetry(surface):
     for direction in DISTINGUISHED_DIRECTIONS:
         rows = [[] for _ in surface.polygons]
         for c, cyl in enumerate(cylinder_decomposition(surface, direction)):
-            for s in cyl.strips:  # floats order levels fast; the exact level breaks ties
-                rows[s.polygon].append((float(s.level_lo), s.level_lo, c, s.edge_lo, s.edge_hi))
-        by_polygon.append([[row[2:] for row in sorted(ss)] for ss in rows])
+            for s in cyl.strips:
+                rows[s.polygon].append((_key(s.level_lo), c, s.edge_lo, s.edge_hi))
+        by_polygon.append([[row[1:] for row in sorted(ss)] for ss in rows])
     return any(
         all([(c, edges[hi], edges[lo]) for c, lo, hi in reversed(strips[p])] == strips[q]
             for strips in by_polygon for p, (q, edges) in enumerate(a))

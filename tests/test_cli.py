@@ -237,6 +237,14 @@ def test_amalgam_reduce_with_custom_edge_word(capsys):
     assert doc["reduced"] == "R:g1g2g3"
 
 
+@pytest.mark.parametrize("g", [0, -1])
+def test_amalgam_reduce_without_generators_is_a_usage_error(capsys, g):
+    # rank 2g < 1 leaves the edge generator g1 outside the factors
+    code, out, err = run(capsys, "amalgam-reduce", "--word", "L:z", "--g", str(g), "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: edge word letter g1 out of range 1..{2 * g}\n"
+
+
 def test_report_small(capsys):
     code, out, _ = run(capsys, "report", "--genus", "2", "--seed", "7")
     assert code == 0

@@ -12,7 +12,7 @@ from itertools import permutations
 import random
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import mpmath
 import pytest
 
@@ -35,7 +35,7 @@ from lamkit.flat_surface import (
     CoreSegment,
     Cylinder,
     _diameter,
-    _order_key,
+    _key,
     area,
     build_double_polygon,
     cylinder_decomposition,
@@ -196,10 +196,27 @@ _MPF = st.builds(
 ) | st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _ties():
+    """Values whose doubles tie: 1 and 1 + 2^-80 at 128 bits and their negatives
+    (1.0 and -1.0), +-2^5000 (+-inf) and +-2^-5000 (0.0 and -0.0, which is equal)."""
+    with mpmath.workprec(128):
+        one, above = mpmath.mpf(1), 1 + mpmath.mpf(2) ** -80
+        big, tiny = mpmath.mpf(2) ** 5000, mpmath.mpf(2) ** -5000
+        return [one, above, -one, -above, big, -big, tiny, -tiny, mpmath.mpf(0), 0.0, 1.0]
+
+
+def test_tie_cases_tie_in_doubles():
+    # so the example below checks that the value breaks ties; the values are negated
+    # at 128 bits, since at the ambient 53 bits -(1 + 2^-80) is -1
+    doubles = [float(x) for x in _ties()]
+    assert doubles == [1.0, 1.0, -1.0, -1.0, float("inf"), float("-inf")] + [0.0] * 4 + [1.0]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.lists(_MPF, min_size=1, max_size=12))
+@example(_ties())
 def test_exact_keys_order_values_as_mpf_does(values):
-    keys = [_order_key(x, _KEY_BITS) for x in values]
+    keys = [_key(x) for x in values]
     for x, kx in zip(values, keys):
         for y, ky in zip(values, keys):
             assert (kx < ky, kx == ky) == (x < y, x == y)

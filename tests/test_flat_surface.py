@@ -40,10 +40,9 @@ from lamkit.flat_surface import (
     _decomposition_cached,
     _diameter,
     _edge_table,
-    _key_bits,
+    _key,
     _level,
     _on_line,
-    _order_key,
     _validated,
     area,
     build_double_polygon,
@@ -162,9 +161,8 @@ def test_chain_lookup_matches_linear_scan(direction, bits):
         s = build_double_polygon(g, precision=bits)
         with mpmath.workprec(bits):
             slack = merge_tolerance(bits) * max(1, _diameter(s))
-            key_bits = _key_bits(s)
-            table, chains = _edge_table(s, direction, slack, key_bits)
-            levels = _critical_levels(s, direction, table, chains, slack, 10**6, key_bits)
+            table, chains = _edge_table(s, direction, slack)
+            levels = _critical_levels(s, direction, table, chains, slack, 10**6)
             for p, ls in enumerate(levels):
                 probes = ls + [(a + b) / 2 for a, b in zip(ls, ls[1:])]
                 for v in s.polygons[p]:
@@ -172,7 +170,7 @@ def test_chain_lookup_matches_linear_scan(direction, bits):
                     probes += [lv + k * slack for k in (-2, -1, -0.5, 0.5, 1, 2)]
                 for level in probes:
                     expected = _linear_crossing_edges(s, p, direction, level, slack)
-                    assert _crossing_edges(chains[p], _order_key(level, key_bits)) == expected
+                    assert _crossing_edges(chains[p], _key(level)) == expected
 
 
 def _vertices_from_separate_trig(g, bits):
@@ -695,10 +693,9 @@ def test_level_merge_matches_the_mpf_insert_at_the_slack(monkeypatch, direction,
 
     def closure(surface):
         with mpmath.workprec(bits):
-            key_bits = _key_bits(surface)
-            table, chains = _edge_table(surface, direction, slack, key_bits)
+            table, chains = _edge_table(surface, direction, slack)
             try:
-                return _critical_levels(surface, direction, table, chains, slack, 100, key_bits)
+                return _critical_levels(surface, direction, table, chains, slack, 100)
             except DecompositionError as exc:
                 return str(exc)
 
@@ -742,12 +739,12 @@ def test_return_map_refuses_a_missing_level(monkeypatch):
             _decomposition_cached.__wrapped__(s, direction)
 
 
-def _has_strip(keys, lo, hi, polygon, slack, bits):
+def _has_strip(keys, lo, hi, polygon, slack):
     """Reference, the former strip lookup of the symmetry check: whether a
-    ``(order key, level_lo, level_hi, polygon)`` entry, sorted, matches within
+    ``(key, level_lo, level_hi, polygon)`` entry, sorted, matches within
     ``slack`` on both levels.  Rounded subtraction is monotone, so the
     entries with a close ``level_lo`` form one run around the bisect point."""
-    i = bisect.bisect_left(keys, (_order_key(lo, bits),))
+    i = bisect.bisect_left(keys, (_key(lo),))
 
     def close(k):
         return abs(lo - k[1]) <= slack
@@ -767,7 +764,6 @@ def _slack_symmetry(surface):
         cy = sum(v[1] for v in verts) / len(verts)
         twice = {VERTICAL: 2 * cx, HORIZONTAL: 2 * cy}
         slack = mpmath.mpf(DEFAULT_TOLERANCE) * max(1, _diameter(surface))
-        bits = _key_bits(surface)
         matches = [
             [
                 (q, shift)
@@ -794,11 +790,11 @@ def _slack_symmetry(surface):
                 continue
             if all(
                 _has_strip(keys, twice[direction] - s.level_hi, twice[direction] - s.level_lo,
-                           poly_image[s.polygon], slack, bits)
+                           poly_image[s.polygon], slack)
                 for direction in (HORIZONTAL, VERTICAL)
                 for cyl in flat_surface.cylinder_decomposition(surface, direction)
-                for keys in [sorted((_order_key(s.level_lo, bits), s.level_lo, s.level_hi,
-                                     s.polygon) for s in cyl.strips)]
+                for keys in [sorted((_key(s.level_lo), s.level_lo, s.level_hi, s.polygon)
+                                    for s in cyl.strips)]
                 for s in cyl.strips
             ):
                 return True

@@ -11,10 +11,12 @@ validation memo cleared, the horizontal decomposition, the vertical
 decomposition, ``derive_intersection_matrix`` and ``hyperelliptic_symmetry``;
 the last two run on the decompositions just made, so they time the crossing
 count and the symmetry matching alone.  Each run is a fresh interpreter that
-imports lamkit from one tree's ``src``.  It records the median of ``RUNS`` runs
-in wall-clock seconds, the machine, the Python and mpmath versions and mpmath's
-backend, and the least-squares exponent of time against genus between
-``FIT[0]`` and ``FIT[1]``.  The result goes to OUT (default
+imports lamkit from one tree's ``src``.  It records the median (``<stage>_s``)
+and the minimum (``<stage>_min_s``) of ``RUNS`` runs in wall-clock seconds; on a
+shared machine the minimum is the steadier of the two.  It also records the
+machine, the Python and mpmath versions and mpmath's backend, and the
+least-squares exponent of the median time against genus between ``FIT[0]``
+and ``FIT[1]``.  The result goes to OUT (default
 ``BENCH_decomposition.json`` in the repository root).
 
 PARENT, the root of another checkout of this repository (an earlier commit), is
@@ -136,16 +138,19 @@ def main(out, parent=None):
                 for t in [(k + r) % len(trees) for k in range(len(trees))]:
                     runs[t].append(fresh_run(trees[t], g, bits))
             for t, tree_runs in enumerate(runs):
-                medians = [statistics.median(column) for column in zip(*tree_runs)]
-                rows[t][bits].append(
-                    {"genus": g, **{f"{name}_s": round(m, 6) for name, m in zip(STAGES, medians)}}
-                )
+                row = {"genus": g}
+                for name, column in zip(STAGES, zip(*tree_runs)):
+                    row[f"{name}_s"] = round(statistics.median(column), 6)
+                    row[f"{name}_min_s"] = round(min(column), 6)
+                rows[t][bits].append(row)
                 label = "parent" if t else "this"
-                stages = " ".join(f"{name} {m:.4f}" for name, m in zip(STAGES, medians))
+                stages = " ".join(
+                    f"{name} {row[f'{name}_s']:.4f}/{row[f'{name}_min_s']:.4f}" for name in STAGES
+                )
                 print(bits, g, label, stages, flush=True)
     doc = {
         "topic": "decomposition",
-        "unit": "wall-clock seconds, median of runs",
+        "unit": "wall-clock seconds, median (<stage>_s) and minimum (<stage>_min_s) of runs",
         "runs": RUNS,
         "genera": list(GENERA),
         "precision_bits": list(PRECISIONS),
